@@ -57,6 +57,12 @@ let write_json ~path entries ~gate ~pass =
        (String.concat "," (List.map json_of_entry entries)));
   close_out oc
 
+(* (nodes, smoothing nodes) of a circuit-backend stats record *)
+let circuit_sizes st =
+  match st.Stats.backend with
+  | Stats.Circuit c -> (c.nodes, c.smoothing)
+  | Stats.Conditioning _ | Stats.Sample _ -> (0, 0)
+
 let values_equal v1 v2 =
   List.length v1 = List.length v2
   && List.for_all2
@@ -97,7 +103,7 @@ let run_instance ~family q db =
   (* the engine's circuit backend is plan-steered, so its stats already
      report the planned size; the unplanned column recompiles the same
      lineage in naive Shannon order for comparison *)
-  let planned_nodes = circuit_stats.Stats.circuit_nodes in
+  let planned_nodes = fst (circuit_sizes circuit_stats) in
   let unplanned_nodes =
     Circuit.node_count (Circuit.compile (Lineage.lineage q db))
   in
@@ -105,7 +111,7 @@ let run_instance ~family q db =
   let contract =
     circuit_stats.Stats.conditionings = 0
     && circuit_stats.Stats.compilations = 1
-    && circuit_stats.Stats.circuit_nodes > 0
+    && planned_nodes > 0
   in
   let deterministic =
     values_equal circ_v rerun_v
@@ -153,7 +159,7 @@ let circuit () =
             Printf.sprintf "%.1fx" (e.conditioning_s /. e.circuit_s);
             string_of_int e.planned_nodes;
             string_of_int e.unplanned_nodes;
-            string_of_int e.circuit_stats.Stats.circuit_smoothing ])
+            string_of_int (snd (circuit_sizes e.circuit_stats)) ])
        entries);
   (* plan-driven node gate: the bipartite n=24 circuit must land at or
      below half the recorded pre-planner baseline (skipped when the cap

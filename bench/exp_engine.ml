@@ -88,8 +88,10 @@ let engine ?(jobs = 1) () =
             Report.ms e.engine_s;
             Printf.sprintf "%.1fx" (e.naive_s /. e.engine_s);
             string_of_int e.stats.Stats.compilations;
-            Printf.sprintf "%d/%d" e.stats.Stats.cache_hits
-              e.stats.Stats.cache_misses ])
+            (match e.stats.Stats.backend with
+             | Stats.Conditioning c ->
+               Printf.sprintf "%d/%d" c.cache_hits c.cache_misses
+             | Stats.Circuit _ | Stats.Sample _ -> "-") ])
        entries);
   let largest =
     List.fold_left

@@ -73,15 +73,16 @@ let sample () =
        let e = Engine.create ~backend:(`Sample cfg) q db in
        let _, eval_s = Report.time_it (fun () -> Engine.svc_all e) in
        let st = Engine.stats e in
-       let hw =
+       let hw, draws, converged =
          match Engine.sample_report e with
-         | Some r -> Rational.to_float r.Sample.max_half_width
-         | None -> Float.nan
+         | Some r ->
+           (Rational.to_float r.Sample.max_half_width, r.Sample.total_draws,
+            r.Sample.all_converged)
+         | None -> (Float.nan, 0, false)
        in
-       let converged = st.Stats.sample_converged in
        if not converged then all_converged := false;
        rows :=
-         [ family; string_of_int n; string_of_int st.Stats.sample_draws;
+         [ family; string_of_int n; string_of_int draws;
            Printf.sprintf "%.4f" hw; Report.ms eval_s;
            (if converged then "yes" else "NO") ]
          :: !rows;
@@ -299,7 +300,7 @@ let ablate_safeplan () =
   List.iter
     (fun (hubs, spokes) ->
        let db = instance hubs spokes in
-       let p1, t_plan = Report.time_it (fun () -> Safe_plan.fgmc_polynomial q db) in
+       let p1, t_plan = Report.time_it (fun () -> Option.get (Lifted.cq q db)) in
        let p2, t_lineage =
          Report.time_it (fun () -> Model_counting.fgmc_polynomial (Query.Cq q) db)
        in

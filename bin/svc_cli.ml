@@ -48,7 +48,9 @@ let eval_cmd =
          & opt ~vopt:(Some `Text) (some (enum [ ("text", `Text); ("json", `Json) ])) None
          & info [ "stats" ] ~docv:"FORMAT"
              ~doc:"Print the engine's instrumentation record after the values \
-                   ($(b,--stats) for text, $(b,--stats=json) for one JSON line).")
+                   ($(b,--stats) for text, $(b,--stats=json) for one JSON line): \
+                   the resolved backend's counters and the run's telemetry \
+                   spans, which carry every duration.")
   in
   let cache_arg =
     Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~docv:"N"
@@ -67,8 +69,7 @@ let eval_cmd =
                  every fact read off a single traversal pair), $(b,auto) \
                  (default: the compilation planner predicts the circuit \
                  size from the lineage's induced width and picks the \
-                 cheaper backend), $(b,auto-legacy) (the pre-planner \
-                 fact-count rule), or $(b,sample) (seeded anytime \
+                 cheaper backend), or $(b,sample) (seeded anytime \
                  estimation with rational confidence intervals — the \
                  only approximate backend, never auto-selected; see \
                  $(b,--seed), $(b,--epsilon), $(b,--max-draws), \
@@ -125,7 +126,6 @@ let eval_cmd =
     let backend =
       match backend with
       | "auto" -> `Auto
-      | "auto-legacy" -> `AutoLegacy
       | "conditioning" -> `Conditioning
       | "circuit" -> `Circuit
       | "sample" ->
@@ -160,27 +160,21 @@ let eval_cmd =
         `Sample (Sample.config ~strategy ~seed ~epsilon ~max_draws ())
       | other ->
         Printf.eprintf
-          "svc eval: unknown backend %S (expected auto, auto-legacy, \
-           conditioning, circuit or sample)\n"
+          "svc eval: unknown backend %S (expected auto, conditioning, \
+           circuit or sample)\n"
           other;
         exit 2
     in
     let db = load_db db_path in
     let q = parse_query query_str in
-    let tel = Telemetry.create ~enabled:(trace <> None) () in
+    (* --stats reads its durations off the spans, so it records them too *)
+    let tel = Telemetry.create ~enabled:(trace <> None || stats <> None) () in
     let e = Engine.create ~tel ?cache_capacity ~jobs ~backend q db in
-    let n_facts = Database.size_endo db in
-    (match (backend, Engine.auto_selected e, Engine.plan e) with
-     | `AutoLegacy, true, _ ->
-       (* the historical note, verbatim *)
-       Printf.printf
-         "note: auto-selected circuit backend (%d endogenous facts >= %d); \
-          --backend overrides\n"
-         n_facts Engine.circuit_threshold
-     | `Auto, true, Some pl ->
+    (match Engine.plan e with
+     | Some pl when Engine.auto_selected e ->
        Printf.printf
          "note: auto-selected circuit backend (%s); --backend overrides\n"
-         (Plan.recommend_reason pl ~n_facts)
+         (Plan.recommend_reason pl ~n_facts:(Database.size_endo db))
      | _ -> ());
     if show_plan then begin
       let phi = Engine.lineage e in

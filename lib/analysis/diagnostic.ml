@@ -168,22 +168,7 @@ let pp fmt d = Format.pp_print_string fmt (to_string d)
 (* JSON rendering (hand-rolled; no external dependency)                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ json_escape s ^ "\""
+let jstr = Tracejson.quote
 let jfield k v = jstr k ^ ":" ^ v
 let jobj fields = "{" ^ String.concat "," fields ^ "}"
 let jarr items = "[" ^ String.concat "," items ^ "]"

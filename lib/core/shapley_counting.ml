@@ -62,7 +62,6 @@ module Compile = Compile
 module Model_counting = Model_counting
 module Prob_db = Prob_db
 module Pqe = Pqe
-module Safe_plan = Safe_plan
 module Lifted = Lifted
 
 (* Shapley values *)

@@ -26,10 +26,7 @@
    result lands at its original index, so values and order are
    bit-identical for every jobs count. *)
 
-let now = Unix.gettimeofday
-
-type backend =
-  [ `Auto | `AutoLegacy | `Conditioning | `Circuit | `Sample of Sample.config ]
+type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
 
 type t = {
   query : Query.t;
@@ -54,29 +51,13 @@ type t = {
   conditionings : Telemetry.Counter.t;
   mutable full : Poly.Z.t option; (* count of phi over all n players *)
   mutable par : Stats.domain_stat array; (* last batched parallel run *)
-  mutable compile_s : float;
-  mutable eval_s : float;
   mutable circuit : Circuit.t option; (* compiled on first circuit answer *)
   mutable circuit_eval : (Poly.Z.t * (Fact.t, Poly.Z.t) Hashtbl.t) option;
-  mutable circuit_compile_s : float;
-  mutable circuit_traverse_s : float;
   mutable sample_shapley : Sample.report option; (* first sampled svc_all *)
   mutable sample_banzhaf : Sample.report option;
 }
 
 let default_cache_capacity = 1 lsl 20
-
-(* The historical `Auto rule, kept verbatim behind `AutoLegacy: at this
-   many endogenous facts the n conditionings of a batched run are
-   expected to lose to one circuit compilation + two traversals.  The
-   default `Auto now asks the compilation planner instead — it predicts
-   the circuit size from the lineage's induced width, so a 24-fact
-   instance with a dense co-occurrence graph no longer gets pushed into
-   a blowing-up compilation.  Either way only the serial path
-   auto-switches: the circuit evaluator is a whole-universe pass with
-   nothing per-fact to fan out, so at jobs > 1 the user's ask for
-   parallel conditioning wins. *)
-let circuit_threshold = 24
 
 let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     db =
@@ -86,17 +67,15 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
   let compilations = Telemetry.counter tel "engine.compilations" in
   let conditionings = Telemetry.counter tel "engine.conditionings" in
   Telemetry.Counter.incr compilations;
-  let t0 = now () in
   let phi = Telemetry.span tel "engine.lineage" (fun () -> Lineage.lineage query db) in
-  let compile_s = now () -. t0 in
   let players = Array.of_list (Database.endo_list db) in
   let n = Array.length players in
   (* The plan is computed exactly when something will read it: to steer
      an explicit circuit compilation, or to resolve a serial `Auto.  A
-     parallel `Auto never plans, so jobs > 1 runs are span-for-span
-     identical to the pre-planner engine.  After a delta update the
-     previous plan seeds a component-local replan instead of a fresh
-     analysis. *)
+     parallel `Auto never plans: the circuit evaluator is a whole-universe
+     pass with nothing per-fact to fan out, so at jobs > 1 the ask for
+     parallel conditioning wins.  After a delta update the previous plan
+     seeds a component-local replan instead of a fresh analysis. *)
   let analyze () =
     match prev_plan with
     | Some previous -> fst (Plan.replan ~tel ~previous phi)
@@ -106,7 +85,7 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     match requested with
     | `Circuit -> Some (analyze ())
     | `Auto when jobs = 1 -> Some (analyze ())
-    | `Auto | `AutoLegacy | `Conditioning | `Sample _ -> None
+    | `Auto | `Conditioning | `Sample _ -> None
   in
   let resolved, auto_selected =
     match requested with
@@ -114,9 +93,6 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     | `Circuit -> (`Circuit, false)
     (* never auto-selected: an approximate answer must be asked for *)
     | `Sample cfg -> Sample.validate cfg; (`Sample cfg, false)
-    | `AutoLegacy ->
-      if jobs = 1 && n >= circuit_threshold then (`Circuit, true)
-      else (`Conditioning, false)
     | `Auto ->
       (match plan with
        | Some pl when Plan.recommend pl ~n_facts:n = `Circuit ->
@@ -146,12 +122,8 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     conditionings;
     full = None;
     par = [||];
-    compile_s;
-    eval_s = 0.;
     circuit = None;
     circuit_eval = None;
-    circuit_compile_s = 0.;
-    circuit_traverse_s = 0.;
     sample_shapley = None;
     sample_banzhaf = None;
   }
@@ -253,12 +225,10 @@ let circuit_of t =
   match t.circuit with
   | Some c -> c
   | None ->
-    let t0 = now () in
     let c =
       Circuit.compile ~tel:t.tel ?plan:t.plan ~cache_capacity:t.cache_capacity
         ?session:t.session t.phi
     in
-    t.circuit_compile_s <- t.circuit_compile_s +. (now () -. t0);
     t.circuit <- Some c;
     c
 
@@ -267,9 +237,7 @@ let circuit_evaluation t =
   | Some e -> e
   | None ->
     let c = circuit_of t in
-    let t0 = now () in
     let ev = Circuit.evaluate ~tel:t.tel c ~universe:(Array.to_list t.players) in
-    t.circuit_traverse_s <- t.circuit_traverse_s +. (now () -. t0);
     let tbl = Hashtbl.create (max 16 (Array.length ev.Circuit.by_fact)) in
     Array.iter (fun (f, p) -> Hashtbl.replace tbl f p) ev.Circuit.by_fact;
     t.full <- Some ev.Circuit.full;
@@ -334,14 +302,12 @@ let sample_run t cfg ~which =
   match cached with
   | Some r -> r
   | None ->
-    let t0 = now () in
     let universe = Array.to_list t.players in
     let r =
       match which with
       | `Shapley -> Sample.shapley ~tel:t.tel cfg ~universe t.phi
       | `Banzhaf -> Sample.banzhaf ~tel:t.tel cfg ~universe t.phi
     in
-    t.eval_s <- t.eval_s +. (now () -. t0);
     (match which with
      | `Shapley -> t.sample_shapley <- Some r
      | `Banzhaf -> t.sample_banzhaf <- Some r);
@@ -375,15 +341,10 @@ let svc t mu =
   match t.backend with
   | `Sample cfg -> (sample_estimate t cfg ~which:`Shapley mu).Sample.value
   | `Conditioning | `Circuit ->
-    let t0 = now () in
-    let v =
-      fact_span t mu (fun () ->
-          let with_mu_exo, without_mu = polynomials t mu in
-          shapley_of_polynomials ~factorials:t.factorials ~with_mu_exo
-            ~without_mu ~n:t.n)
-    in
-    t.eval_s <- t.eval_s +. (now () -. t0);
-    v
+    fact_span t mu (fun () ->
+        let with_mu_exo, without_mu = polynomials t mu in
+        shapley_of_polynomials ~factorials:t.factorials ~with_mu_exo
+          ~without_mu ~n:t.n)
 
 (* The parallel batched path: fan the per-fact conditioning out across
    [t.jobs] domains.  Slot i owns the static slice [i·n/jobs, (i+1)·n/jobs)
@@ -394,7 +355,6 @@ let svc t mu =
    they read the immutable φ, players and full polynomial, and everything
    mutable is merged in the calling domain after the join. *)
 let batched_parallel t ~value_of =
-  let t0 = now () in
   let full = full_polynomial t in
   let n = t.n and jobs = t.jobs in
   let all_players = Array.to_list t.players in
@@ -447,20 +407,16 @@ let batched_parallel t ~value_of =
   in
   Array.iter (fun stel -> Telemetry.join t.tel stel) slot_tels;
   Telemetry.Counter.add t.conditionings n;
-  let merged =
-    Telemetry.span t.tel "engine.merge" (fun () ->
-        t.par <-
-          Array.mapi
-            (fun i (_, facts, hits, misses) ->
-               { Stats.d_facts = facts; d_hits = hits; d_misses = misses;
-                 d_steals = pool_stats.Pool.steals.(i) })
-            slots;
-        Array.to_list
-          (Array.concat
-             (List.map (fun (vs, _, _, _) -> vs) (Array.to_list slots))))
-  in
-  t.eval_s <- t.eval_s +. (now () -. t0);
-  merged
+  Telemetry.span t.tel "engine.merge" (fun () ->
+      t.par <-
+        Array.mapi
+          (fun i (_, facts, hits, misses) ->
+             { Stats.d_facts = facts; d_hits = hits; d_misses = misses;
+               d_steals = pool_stats.Pool.steals.(i) })
+          slots;
+      Array.to_list
+        (Array.concat
+           (List.map (fun (vs, _, _, _) -> vs) (Array.to_list slots))))
 
 let shapley_value_of t ~with_mu_exo ~without_mu =
   shapley_of_polynomials ~factorials:t.factorials ~with_mu_exo ~without_mu
@@ -485,14 +441,9 @@ let banzhaf t mu =
   match t.backend with
   | `Sample cfg -> (sample_estimate t cfg ~which:`Banzhaf mu).Sample.value
   | `Conditioning | `Circuit ->
-    let t0 = now () in
-    let v =
-      fact_span t mu (fun () ->
-          let with_mu_exo, without_mu = polynomials t mu in
-          banzhaf_value_of t ~with_mu_exo ~without_mu)
-    in
-    t.eval_s <- t.eval_s +. (now () -. t0);
-    v
+    fact_span t mu (fun () ->
+        let with_mu_exo, without_mu = polynomials t mu in
+        banzhaf_value_of t ~with_mu_exo ~without_mu)
 
 let banzhaf_all t =
   Telemetry.span t.tel "engine.eval" @@ fun () ->
@@ -511,75 +462,54 @@ let sample_report t =
   match t.sample_shapley with Some r -> Some r | None -> t.sample_banzhaf
 
 let stats t =
-  let sample_strategy, sample_seed, sample_epsilon, sample_confidence =
+  let backend =
     match t.backend with
+    | `Conditioning ->
+      Stats.Conditioning
+        { cache_hits = Compile.Memo.hits t.memo;
+          cache_misses = Compile.Memo.misses t.memo;
+          cache_size = Compile.Memo.length t.memo;
+          cache_capacity = Compile.Memo.capacity t.memo;
+          cache_drops = Compile.Memo.drops t.memo;
+          poly_ops = Compile.Memo.poly_ops t.memo;
+          domains = t.par }
+    | `Circuit ->
+      let count f = match t.circuit with Some c -> f c | None -> 0 in
+      Stats.Circuit
+        { nodes = count Circuit.node_count;
+          edges = count Circuit.edge_count;
+          smoothing = count Circuit.smoothing_nodes;
+          cache_hits = count Circuit.cache_hits;
+          cache_misses = count Circuit.cache_misses;
+          cache_drops = count Circuit.cache_drops }
     | `Sample cfg ->
-      (Sample.strategy_to_string cfg.Sample.strategy, cfg.Sample.seed,
-       Rational.to_string cfg.Sample.epsilon,
-       Rational.to_string cfg.Sample.confidence)
-    | `Conditioning | `Circuit -> ("", 0, "0", "0")
-  in
-  let sample_draws, sample_exact_strata, sample_sampled_strata, sample_max_hw,
-      sample_converged =
-    match sample_report t with
-    | Some r ->
-      ( r.Sample.total_draws,
-        Array.fold_left
-          (fun a e -> a + e.Sample.exact_strata)
-          0 r.Sample.estimates,
-        Array.fold_left
-          (fun a e -> a + e.Sample.sampled_strata)
-          0 r.Sample.estimates,
-        Rational.to_string r.Sample.max_half_width,
-        r.Sample.all_converged )
-    | None -> (0, 0, 0, "0", false)
+      let draws, exact_strata, sampled_strata, max_hw, converged =
+        match sample_report t with
+        | None -> (0, 0, 0, "0", false)
+        | Some r ->
+          let sum f = Array.fold_left (fun a e -> a + f e) 0 r.Sample.estimates in
+          ( r.Sample.total_draws,
+            sum (fun e -> e.Sample.exact_strata),
+            sum (fun e -> e.Sample.sampled_strata),
+            Rational.to_string r.Sample.max_half_width,
+            r.Sample.all_converged )
+      in
+      Stats.Sample
+        { strategy = Sample.strategy_to_string cfg.Sample.strategy;
+          seed = cfg.Sample.seed;
+          draws;
+          exact_strata;
+          sampled_strata;
+          max_hw;
+          epsilon = Rational.to_string cfg.Sample.epsilon;
+          confidence = Rational.to_string cfg.Sample.confidence;
+          converged }
   in
   {
     Stats.players = t.n;
+    jobs = t.jobs;
     compilations = Telemetry.Counter.value t.compilations;
     conditionings = Telemetry.Counter.value t.conditionings;
-    cache_hits = Compile.Memo.hits t.memo;
-    cache_misses = Compile.Memo.misses t.memo;
-    cache_size = Compile.Memo.length t.memo;
-    cache_capacity = Compile.Memo.capacity t.memo;
-    cache_drops = Compile.Memo.drops t.memo;
-    poly_ops = Compile.Memo.poly_ops t.memo;
-    jobs = t.jobs;
-    domains = t.par;
-    compile_s = t.compile_s;
-    eval_s = t.eval_s;
-    backend = (match t.backend with
-        | `Conditioning -> "conditioning"
-        | `Circuit -> "circuit"
-        | `Sample _ -> "sample");
-    circuit_nodes = (match t.circuit with
-        | Some c -> Circuit.node_count c
-        | None -> 0);
-    circuit_edges = (match t.circuit with
-        | Some c -> Circuit.edge_count c
-        | None -> 0);
-    circuit_smoothing = (match t.circuit with
-        | Some c -> Circuit.smoothing_nodes c
-        | None -> 0);
-    circuit_cache_hits = (match t.circuit with
-        | Some c -> Circuit.cache_hits c
-        | None -> 0);
-    circuit_cache_misses = (match t.circuit with
-        | Some c -> Circuit.cache_misses c
-        | None -> 0);
-    circuit_cache_drops = (match t.circuit with
-        | Some c -> Circuit.cache_drops c
-        | None -> 0);
-    circuit_compile_s = t.circuit_compile_s;
-    circuit_traverse_s = t.circuit_traverse_s;
-    sample_strategy;
-    sample_seed;
-    sample_draws;
-    sample_exact_strata;
-    sample_sampled_strata;
-    sample_max_hw;
-    sample_epsilon;
-    sample_confidence;
-    sample_converged;
-    span_s = Telemetry.aggregate t.tel;
+    backend;
+    spans = Telemetry.aggregate t.tel;
   }

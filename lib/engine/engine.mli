@@ -42,8 +42,7 @@ type t
 (** A compiled engine for one (query, database) pair.  Mutable only in its
     instrumentation and cache; all answers are deterministic. *)
 
-type backend =
-  [ `Auto | `AutoLegacy | `Conditioning | `Circuit | `Sample of Sample.config ]
+type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
 (** The evaluation strategy for batched answers:
 
     - [`Conditioning]: the PR-3 path — one conditioned size-polynomial
@@ -58,24 +57,17 @@ type backend =
       the node budget (the prediction comes from the lineage's induced
       width, so dense co-occurrence graphs fall back to conditioning no
       matter how many facts they have); [`Conditioning] at [jobs > 1];
-    - [`AutoLegacy]: the pre-planner rule, kept for comparison —
-      [`Circuit] iff serial and at least {!circuit_threshold}
-      endogenous facts, no width analysis;
     - [`Sample cfg]: the anytime sampling estimator ({!Sample}) — the
       only {e approximate} backend, and therefore never auto-selected:
       every answer carries a seeded-deterministic estimate whose
       confidence interval is reported through {!stats}
-      ([sample_*] fields) and {!Sample.report}.  [svc]/[svc_all] and
+      ({!Stats.Sample}) and {!Sample.report}.  [svc]/[svc_all] and
       [banzhaf]/[banzhaf_all] run (and cache) one estimation pass each;
       {!fgmc_polynomial} stays exact via the conditioning path.  [jobs]
       does not affect the values (the estimator is a pure function of
       the seed).
 
     The exact backends return bit-identical values in the same order. *)
-
-val circuit_threshold : int
-(** Endogenous-fact count at which [`AutoLegacy] switches to
-    [`Circuit]. *)
 
 val create :
   ?tel:Telemetry.t -> ?cache_capacity:int -> ?jobs:int -> ?backend:backend ->
@@ -90,8 +82,8 @@ val create :
     [backend] selects the evaluation strategy (default [`Auto]).
 
     [tel] (default: a private disabled tracer, making every span a free
-    no-op) hosts the engine's whole instrumentation: the
-    [engine.compilations]/[engine.conditionings] counters live in its
+    no-op) hosts the engine's whole instrumentation and its only clock:
+    the [engine.compilations]/[engine.conditionings] counters live in its
     registry — {!stats} is a projection of it, not a separate record —
     and, when enabled, the run is recorded as spans: [engine.lineage]
     (the one compilation), [engine.eval] per batched entry point,
@@ -151,18 +143,17 @@ val sample_report : t -> Sample.report option
     engine is a [`Sample] backend and an entry point has run; prefers
     the Shapley report when both Shapley and Banzhaf passes ran).
     Carries per-fact confidence intervals, draw counts and convergence
-    flags — the data behind the [sample_*] fields of {!stats}. *)
+    flags — the data behind {!Stats.Sample} in {!stats}. *)
 
 val auto_selected : t -> bool
-(** [true] iff [`Auto]/[`AutoLegacy] resolution picked the circuit
-    backend (lets the CLI announce the switch). *)
+(** [true] iff [`Auto] resolution picked the circuit backend (lets the
+    CLI announce the switch). *)
 
 val plan : t -> Plan.t option
 (** The compilation plan computed at {!create} time: present for an
     explicit [`Circuit] backend and for a serial [`Auto] (where it
     decided the resolution and will steer any circuit compilation);
-    absent for [`Conditioning], [`AutoLegacy] and parallel [`Auto]
-    engines. *)
+    absent for [`Conditioning], [`Sample] and parallel [`Auto] engines. *)
 
 val query : t -> Query.t
 val database : t -> Database.t
@@ -195,9 +186,10 @@ val fgmc_polynomial : t -> Poly.Z.t
     the same shared cache. *)
 
 val stats : t -> Stats.t
-(** Projection of the engine's telemetry registry (plus the engine's own
-    wall clocks) into the pinned {!Stats.t} shape; [span_s] carries
-    {!Telemetry.aggregate} of the engine's tracer. *)
+(** Projection of the engine's telemetry registry and caches into
+    {!Stats.t}, with the resolved backend's counters only; [spans] carries
+    {!Telemetry.aggregate} of the engine's tracer, the record's only
+    durations. *)
 
 val telemetry : t -> Telemetry.t
 (** The tracer given to (or created by) {!create}. *)

@@ -5,54 +5,56 @@ type domain_stat = {
   d_steals : int;
 }
 
+type backend =
+  | Conditioning of {
+      cache_hits : int;
+      cache_misses : int;
+      cache_size : int;
+      cache_capacity : int;
+      cache_drops : int;
+      poly_ops : int;
+      domains : domain_stat array;
+    }
+  | Circuit of {
+      nodes : int;
+      edges : int;
+      smoothing : int;
+      cache_hits : int;
+      cache_misses : int;
+      cache_drops : int;
+    }
+  | Sample of {
+      strategy : string;
+      seed : int;
+      draws : int;
+      exact_strata : int;
+      sampled_strata : int;
+      max_hw : string;
+      epsilon : string;
+      confidence : string;
+      converged : bool;
+    }
+
 type t = {
   players : int;
+  jobs : int;
   compilations : int;
   conditionings : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_size : int;
-  cache_capacity : int;
-  cache_drops : int;
-  poly_ops : int;
-  jobs : int;
-  domains : domain_stat array;
-  compile_s : float;
-  eval_s : float;
-  backend : string;
-  circuit_nodes : int;
-  circuit_edges : int;
-  circuit_smoothing : int;
-  circuit_cache_hits : int;
-  circuit_cache_misses : int;
-  circuit_cache_drops : int;
-  circuit_compile_s : float;
-  circuit_traverse_s : float;
-  sample_strategy : string;
-  sample_seed : int;
-  sample_draws : int;
-  sample_exact_strata : int;
-  sample_sampled_strata : int;
-  sample_max_hw : string;
-  sample_epsilon : string;
-  sample_confidence : string;
-  sample_converged : bool;
-  span_s : (string * int * float) array;
+  backend : backend;
+  spans : (string * int * float) array;
 }
 
-let zero =
-  { players = 0; compilations = 0; conditionings = 0; cache_hits = 0;
-    cache_misses = 0; cache_size = 0; cache_capacity = 0; cache_drops = 0;
-    poly_ops = 0; jobs = 1; domains = [||]; compile_s = 0.; eval_s = 0.;
-    backend = "conditioning"; circuit_nodes = 0; circuit_edges = 0;
-    circuit_smoothing = 0; circuit_cache_hits = 0; circuit_cache_misses = 0;
-    circuit_cache_drops = 0; circuit_compile_s = 0.; circuit_traverse_s = 0.;
-    sample_strategy = ""; sample_seed = 0; sample_draws = 0;
-    sample_exact_strata = 0; sample_sampled_strata = 0; sample_max_hw = "0";
-    sample_epsilon = "0"; sample_confidence = "0"; sample_converged = false;
-    span_s = [||] }
+let backend_name s =
+  match s.backend with
+  | Conditioning _ -> "conditioning"
+  | Circuit _ -> "circuit"
+  | Sample _ -> "sample"
 
-let sum_domains proj s = Array.fold_left (fun acc d -> acc + proj d) 0 s.domains
+let sum_domains proj s =
+  match s.backend with
+  | Conditioning c -> Array.fold_left (fun acc d -> acc + proj d) 0 c.domains
+  | Circuit _ | Sample _ -> 0
+
 let par_facts s = sum_domains (fun d -> d.d_facts) s
 let par_hits s = sum_domains (fun d -> d.d_hits) s
 let par_misses s = sum_domains (fun d -> d.d_misses) s
@@ -61,14 +63,16 @@ let par_steals s = sum_domains (fun d -> d.d_steals) s
 let normalize s =
   {
     s with
-    compile_s = 0.;
-    eval_s = 0.;
-    circuit_compile_s = 0.;
-    circuit_traverse_s = 0.;
-    domains = Array.map (fun d -> { d with d_steals = 0 }) s.domains;
-    (* span counts are deterministic; only the accumulated durations are
-       wall clock *)
-    span_s = Array.map (fun (name, count, _) -> (name, count, 0.)) s.span_s;
+    backend =
+      (match s.backend with
+       | Conditioning c ->
+         Conditioning
+           { c with
+             domains = Array.map (fun d -> { d with d_steals = 0 }) c.domains }
+       | (Circuit _ | Sample _) as b -> b);
+    (* span counts are deterministic; only the accumulated durations
+       depend on the clock *)
+    spans = Array.map (fun (name, count, _) -> (name, count, 0.)) s.spans;
   }
 
 let ms s = s *. 1000.
@@ -76,96 +80,120 @@ let ms s = s *. 1000.
 let capacity_string c = if c = max_int then "unbounded" else string_of_int c
 
 let to_string s =
+  let line label value = Printf.sprintf "  %-13s : %s\n" label value in
+  let own =
+    match s.backend with
+    | Conditioning c ->
+      [
+        line "cache"
+          (Printf.sprintf "%d hits / %d misses / %d drops (%d entries, capacity %s)"
+             c.cache_hits c.cache_misses c.cache_drops c.cache_size
+             (capacity_string c.cache_capacity));
+        line "poly ops" (string_of_int c.poly_ops);
+      ]
+      @ (if s.jobs = 1 then []
+         else
+           [
+             (* summed across domains: the per-slice numbers are stable
+                but verbose, and steal counts are scheduling noise anyway *)
+             line "parallel"
+               (Printf.sprintf "%d jobs, %d facts, cache %d hits / %d misses, steals %d"
+                  s.jobs (par_facts s) (par_hits s) (par_misses s)
+                  (par_steals s));
+           ])
+    | Circuit c ->
+      [
+        line "circuit"
+          (Printf.sprintf "%d nodes / %d edges (%d smoothing)" c.nodes c.edges
+             c.smoothing);
+        line "circuit cache"
+          (Printf.sprintf "%d hits / %d misses / %d drops" c.cache_hits
+             c.cache_misses c.cache_drops);
+      ]
+    | Sample x ->
+      [
+        line "sampling"
+          (Printf.sprintf "%s, seed %d, %d draws, %d/%d strata exact/sampled"
+             x.strategy x.seed x.draws x.exact_strata x.sampled_strata);
+        line "ci"
+          (Printf.sprintf "half-width <= %s (target %s at confidence %s) — %s"
+             x.max_hw x.epsilon x.confidence
+             (if x.converged then "converged" else "budget exhausted"));
+      ]
+  in
   String.concat ""
     ([
        "engine stats:\n";
-       Printf.sprintf "  players       : %d\n" s.players;
-       Printf.sprintf "  compilations  : %d\n" s.compilations;
-       Printf.sprintf "  conditionings : %d\n" s.conditionings;
-       Printf.sprintf "  cache         : %d hits / %d misses / %d drops (%d entries, capacity %s)\n"
-         s.cache_hits s.cache_misses s.cache_drops s.cache_size
-         (capacity_string s.cache_capacity);
-       Printf.sprintf "  poly ops      : %d\n" s.poly_ops;
+       line "backend" (backend_name s);
+       line "players" (string_of_int s.players);
+       line "compilations" (string_of_int s.compilations);
+       line "conditionings" (string_of_int s.conditionings);
      ]
-     @ (if s.jobs = 1 then []
-        else
-          [
-            (* summed across domains: the per-slice numbers are stable but
-               verbose, and steal counts are scheduling noise anyway *)
-            Printf.sprintf
-              "  parallel      : %d jobs, %d facts, cache %d hits / %d misses, steals %d\n"
-              s.jobs (par_facts s) (par_hits s) (par_misses s) (par_steals s);
-          ])
-     @ (if s.backend = "circuit" then
-          [
-            Printf.sprintf "  backend       : %s\n" s.backend;
-            Printf.sprintf "  circuit       : %d nodes / %d edges (%d smoothing)\n"
-              s.circuit_nodes s.circuit_edges s.circuit_smoothing;
-            Printf.sprintf "  circuit cache : %d hits / %d misses / %d drops\n"
-              s.circuit_cache_hits s.circuit_cache_misses s.circuit_cache_drops;
-          ]
-        else [])
-     @ (if s.backend = "sample" then
-          [
-            Printf.sprintf "  backend       : %s\n" s.backend;
-            Printf.sprintf
-              "  sampling      : %s, seed %d, %d draws, %d/%d strata exact/sampled\n"
-              s.sample_strategy s.sample_seed s.sample_draws
-              s.sample_exact_strata s.sample_sampled_strata;
-            Printf.sprintf
-              "  ci            : half-width <= %s (target %s at confidence %s) — %s\n"
-              s.sample_max_hw s.sample_epsilon s.sample_confidence
-              (if s.sample_converged then "converged" else "budget exhausted");
-          ]
-        else [])
-     @ [
-         Printf.sprintf "  compile time  : %.2fms\n" (ms s.compile_s);
-         Printf.sprintf "  eval time  : %.2fms\n" (ms s.eval_s);
-       ]
-     @ (if s.backend = "circuit" then
-          [
-            Printf.sprintf "  circuit compile time  : %.2fms\n"
-              (ms s.circuit_compile_s);
-            Printf.sprintf "  circuit traverse time  : %.2fms\n"
-              (ms s.circuit_traverse_s);
-          ]
-        else [])
-     @ (if Array.length s.span_s = 0 then []
+     @ own
+     @ (if Array.length s.spans = 0 then []
         else
           "  spans:\n"
-          :: (Array.to_list s.span_s
+          :: (Array.to_list s.spans
               |> List.map (fun (name, count, dur) ->
                      Printf.sprintf "    %-28s %4dx  time  : %.2fms\n" name
                        count (ms dur)))))
 
-let pp fmt s = Format.pp_print_string fmt (to_string s)
-
-(* Stable field names: consumed by BENCH_engine.json / BENCH_parallel.json
-   and the cram tests (which mask only the two *_ms fields and the
-   scheduling-dependent par_steals). *)
+(* Key names are consumed by the BENCH_*.json files, the cram tests and
+   CI; every backend shares the leading five and the trailing [spans]. *)
 let to_json s =
-  Printf.sprintf
-    "{\"players\":%d,\"compilations\":%d,\"conditionings\":%d,\
-     \"cache_hits\":%d,\"cache_misses\":%d,\"cache_size\":%d,\
-     \"cache_capacity\":%s,\"cache_drops\":%d,\"poly_ops\":%d,\
-     \"jobs\":%d,\"par_facts\":%d,\"par_cache_hits\":%d,\
-     \"par_cache_misses\":%d,\"par_steals\":%d,\
-     \"compile_ms\":%.3f,\"eval_ms\":%.3f,\
-     \"backend\":\"%s\",\"circuit_nodes\":%d,\"circuit_edges\":%d,\
-     \"circuit_smoothing\":%d,\"circuit_cache_hits\":%d,\
-     \"circuit_cache_misses\":%d,\"circuit_cache_drops\":%d,\
-     \"circuit_compile_ms\":%.3f,\"circuit_traverse_ms\":%.3f,\
-     \"sample_strategy\":%S,\"sample_seed\":%d,\"sample_draws\":%d,\
-     \"sample_exact_strata\":%d,\"sample_sampled_strata\":%d,\
-     \"sample_max_hw\":%S,\"sample_epsilon\":%S,\"sample_confidence\":%S,\
-     \"sample_converged\":%b}"
-    s.players s.compilations s.conditionings s.cache_hits s.cache_misses
-    s.cache_size
-    (if s.cache_capacity = max_int then "null" else string_of_int s.cache_capacity)
-    s.cache_drops s.poly_ops s.jobs (par_facts s) (par_hits s) (par_misses s)
-    (par_steals s) (ms s.compile_s) (ms s.eval_s) s.backend s.circuit_nodes
-    s.circuit_edges s.circuit_smoothing s.circuit_cache_hits
-    s.circuit_cache_misses s.circuit_cache_drops (ms s.circuit_compile_s)
-    (ms s.circuit_traverse_s) s.sample_strategy s.sample_seed s.sample_draws
-    s.sample_exact_strata s.sample_sampled_strata s.sample_max_hw
-    s.sample_epsilon s.sample_confidence s.sample_converged
+  let open Tracejson in
+  let int n = Num (float_of_int n) in
+  let own =
+    match s.backend with
+    | Conditioning c ->
+      [
+        ("cache_hits", int c.cache_hits);
+        ("cache_misses", int c.cache_misses);
+        ("cache_size", int c.cache_size);
+        ("cache_capacity",
+         if c.cache_capacity = max_int then Null else int c.cache_capacity);
+        ("cache_drops", int c.cache_drops);
+        ("poly_ops", int c.poly_ops);
+        ("par_facts", int (par_facts s));
+        ("par_cache_hits", int (par_hits s));
+        ("par_cache_misses", int (par_misses s));
+        ("par_steals", int (par_steals s));
+      ]
+    | Circuit c ->
+      [
+        ("circuit_nodes", int c.nodes);
+        ("circuit_edges", int c.edges);
+        ("circuit_smoothing", int c.smoothing);
+        ("circuit_cache_hits", int c.cache_hits);
+        ("circuit_cache_misses", int c.cache_misses);
+        ("circuit_cache_drops", int c.cache_drops);
+      ]
+    | Sample x ->
+      [
+        ("sample_strategy", Str x.strategy);
+        ("sample_seed", int x.seed);
+        ("sample_draws", int x.draws);
+        ("sample_exact_strata", int x.exact_strata);
+        ("sample_sampled_strata", int x.sampled_strata);
+        ("sample_max_hw", Str x.max_hw);
+        ("sample_epsilon", Str x.epsilon);
+        ("sample_confidence", Str x.confidence);
+        ("sample_converged", Bool x.converged);
+      ]
+  in
+  let spans =
+    Array.to_list s.spans
+    |> List.map (fun (name, count, dur) ->
+           (name, Obj [ ("count", int count); ("ms", Num (ms dur)) ]))
+  in
+  Tracejson.to_string
+    (Obj
+       ([
+          ("backend", Str (backend_name s));
+          ("players", int s.players);
+          ("jobs", int s.jobs);
+          ("compilations", int s.compilations);
+          ("conditionings", int s.conditionings);
+        ]
+        @ own
+        @ [ ("spans", Obj spans) ]))

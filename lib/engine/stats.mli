@@ -1,35 +1,26 @@
-(** Instrumentation record of a batched SVC {!Engine} run.
+(** Instrumentation record of a batched SVC {!Engine} run: the fields
+    every backend shares, one variant carrying the resolved backend's own
+    counters, and the telemetry span rollup that holds every duration.
 
-    Counters:
+    Common counters:
+    - [players]: endogenous facts;
+    - [jobs]: the configured worker count;
     - [compilations]: lineage compilations performed (the engine's whole
       point is that this stays at [1] per (query, database));
     - [conditionings]: size-polynomial evaluations against the engine's
-      caches ([n + 1] for a full [svc_all] at {e any} jobs count: the
-      unconditioned polynomial once, then [φ[μ:=1]] once per fact —
-      [φ[μ:=0]] comes from the splitting identity without a count);
-    - [cache_*]: the engine's own {!Compile.Memo} counters (hits, misses,
-      retained entries, capacity, results dropped at capacity).  At
-      [jobs > 1] this cache only serves the serial phases (the full
-      polynomial and any per-fact calls made outside a batched run);
-    - [poly_ops]: polynomial ring operations charged to the engine's own
-      cache;
-    - [jobs] / [domains]: the configured worker count and one
-      {!domain_stat} per worker slot of the last batched run ([[||]]
-      until a batched run happens at [jobs > 1]);
-    - [compile_s] / [eval_s]: wall-clock seconds per phase (lineage
-      compilation vs per-fact evaluation);
-    - [backend]: ["conditioning"] or ["circuit"] — which evaluation
-      strategy the engine resolved to;
-    - [circuit_*]: the knowledge-compilation backend's metrics (all zero
-      under the conditioning backend): live d-DNNF node/edge counts,
-      nodes spent on smoothing gadgets, the formula→node memo cache
-      counters, and the compile vs traverse wall clock.
+      caches ([n + 1] for a full conditioning [svc_all] at {e any} jobs
+      count: the unconditioned polynomial once, then [φ[μ:=1]] once per
+      fact — [φ[μ:=0]] comes from the splitting identity without a
+      count; [0] under the circuit and sample backends).
+
+    Durations live only in [spans], {!Telemetry.aggregate} of the
+    engine's tracer, so they come from the tracer's injectable clock.  A
+    disabled tracer records no spans and [spans] is empty.
 
     Determinism: for a given (query, database, jobs, capacity, backend),
-    every field is deterministic {e except} the four wall-clock fields and
-    the per-domain [d_steals] (which record scheduling choices).
-    {!normalize} zeroes exactly those, so two runs of the same workload
-    must satisfy
+    every field is deterministic {e except} the span durations and the
+    per-domain [d_steals] (which record scheduling choices).  {!normalize}
+    zeroes exactly those, so two runs of the same workload must satisfy
     [normalize s1 = normalize s2] — the regression test for the
     deterministic-merge contract.  The per-slot [d_facts]/[d_hits]/
     [d_misses] are deterministic because work slices are assigned to
@@ -44,93 +35,97 @@ type domain_stat = {
           (scheduling-dependent; zeroed by {!normalize}) *)
 }
 
+type backend =
+  | Conditioning of {
+      cache_hits : int;
+      cache_misses : int;
+      cache_size : int;  (** retained entries *)
+      cache_capacity : int;  (** [max_int] when unbounded *)
+      cache_drops : int;  (** results dropped at capacity *)
+      poly_ops : int;  (** ring operations charged to the cache *)
+      domains : domain_stat array;
+          (** one per worker slot of the last batched run at [jobs > 1];
+              [[||]] until such a run happens *)
+    }
+      (** The engine's own {!Compile.Memo} counters.  At [jobs > 1] that
+          cache only serves the serial phases (the full polynomial and
+          per-fact calls outside a batched run); the workers' private
+          caches are counted in [domains]. *)
+  | Circuit of {
+      nodes : int;  (** live d-DNNF nodes *)
+      edges : int;
+      smoothing : int;  (** nodes spent on smoothing gadgets *)
+      cache_hits : int;  (** formula→node compilation cache *)
+      cache_misses : int;
+      cache_drops : int;
+    }
+      (** All zero until the first answer compiles the circuit. *)
+  | Sample of {
+      strategy : string;  (** ["mc"] / ["stratified"] / ["hybrid"] *)
+      seed : int;
+      draws : int;  (** {!Sample.report.total_draws} of the last run *)
+      exact_strata : int;  (** strata enumerated exactly, summed over facts *)
+      sampled_strata : int;
+      max_hw : string;
+          (** exact rational string of the largest reported CI half-width *)
+      epsilon : string;  (** the configured target, exact rational *)
+      confidence : string;
+      converged : bool;
+          (** every fact's half-width hit the [epsilon] target in budget *)
+    }
+      (** The configuration and the report of the last run (before any
+          run: draws and strata [0], [max_hw] ["0"], [converged]
+          [false]). *)
+
 type t = {
   players : int;
+  jobs : int;
   compilations : int;
   conditionings : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_size : int;
-  cache_capacity : int;
-  cache_drops : int;
-  poly_ops : int;
-  jobs : int;
-  domains : domain_stat array;
-  compile_s : float;
-  eval_s : float;
-  backend : string;
-  circuit_nodes : int;
-  circuit_edges : int;
-  circuit_smoothing : int;
-  circuit_cache_hits : int;
-  circuit_cache_misses : int;
-  circuit_cache_drops : int;
-  circuit_compile_s : float;
-  circuit_traverse_s : float;
-  sample_strategy : string;
-      (** ["mc"] / ["stratified"] / ["hybrid"] under the sample backend,
-          [""] otherwise (the [sample_*] fields are only meaningful when
-          [backend = "sample"]) *)
-  sample_seed : int;
-  sample_draws : int;  (** {!Sample.report.total_draws} of the last run *)
-  sample_exact_strata : int;
-      (** strata enumerated exactly, summed over facts *)
-  sample_sampled_strata : int;
-  sample_max_hw : string;
-      (** exact rational string of the largest reported CI half-width *)
-  sample_epsilon : string;  (** the configured target, exact rational *)
-  sample_confidence : string;
-  sample_converged : bool;
-      (** every fact's half-width hit the [epsilon] target in budget *)
-  span_s : (string * int * float) array;
-      (** telemetry span rollup: (span name, completions, total seconds),
-          sorted by name — [Telemetry.aggregate] of the run's tracer.
-          Empty when the engine ran without an enabled tracer.  Not part
-          of {!to_json} (the pinned JSON shape predates telemetry). *)
+  backend : backend;
+  spans : (string * int * float) array;
+      (** (span name, completions, total seconds), sorted by name *)
 }
 
-val zero : t
+val backend_name : t -> string
+(** ["conditioning"], ["circuit"] or ["sample"]. *)
 
 val par_facts : t -> int
-(** Sum of [d_facts] over {!field-t.domains}; likewise below. *)
+(** Sum of [d_facts] over the conditioning backend's [domains] ([0] for
+    the other backends); likewise below. *)
 
 val par_hits : t -> int
 val par_misses : t -> int
-val par_steals : t -> int
 
 val normalize : t -> t
-(** The deterministic projection: wall-clock fields ([compile_s],
-    [eval_s], [circuit_compile_s], [circuit_traverse_s]), per-domain
-    steal counts, and the durations inside [span_s] zeroed (span {e
-    counts} are deterministic and kept), everything else untouched.  Two
-    runs of the same (query, database, jobs, capacity, backend) produce
-    structurally equal normalized records. *)
+(** The deterministic projection: span durations and per-domain steal
+    counts zeroed (span {e counts} are deterministic and kept),
+    everything else untouched.  Two runs of the same (query, database,
+    jobs, capacity, backend) produce structurally equal normalized
+    records. *)
 
 val to_string : t -> string
-(** Multi-line human-readable block (the [svc eval --stats] output).  At
-    [jobs > 1] a [parallel] line reports the per-domain counters summed;
-    under the circuit backend, [backend]/[circuit]/[circuit cache] lines
-    and the circuit wall-clock lines are appended (every wall-clock line
-    ends in [time  : …ms] so one mask covers them all).  When [span_s]
-    is non-empty a [spans:] block is appended, one [time  : …ms] line
-    per span name. *)
+(** Multi-line human-readable block (the [svc eval --stats] output): the
+    common counters, the backend's own lines — at [jobs > 1] the
+    conditioning backend adds a [parallel] line with the per-domain
+    counters summed — and, when [spans] is non-empty, a [spans:] block
+    with one [time  : …ms] line per span name, so one mask covers every
+    duration. *)
 
 val to_json : t -> string
-(** One-line JSON object with stable field names ([players],
-    [compilations], [conditionings], [cache_hits], [cache_misses],
-    [cache_size], [cache_capacity] (JSON [null] when unbounded),
-    [cache_drops], [poly_ops], [jobs], [par_facts], [par_cache_hits],
-    [par_cache_misses], [par_steals], [compile_ms], [eval_ms],
-    [backend], [circuit_nodes], [circuit_edges], [circuit_smoothing],
-    [circuit_cache_hits], [circuit_cache_misses], [circuit_cache_drops],
-    [circuit_compile_ms], [circuit_traverse_ms], [sample_strategy],
-    [sample_seed], [sample_draws], [sample_exact_strata],
-    [sample_sampled_strata], [sample_max_hw], [sample_epsilon],
-    [sample_confidence], [sample_converged]).  The [par_*] fields
-    aggregate the per-domain counters (all [0] at [jobs = 1]); the
-    [circuit_*] fields are all [0] under the conditioning backend; the
-    [sample_*] fields are at their {!zero} defaults unless
-    [backend = "sample"] — all deterministic given the seed, so none is
-    masked by {!normalize}. *)
+(** One-line JSON object.  Every backend emits [backend], [players],
+    [jobs], [compilations] and [conditionings] first and [spans] last;
+    in between come only the resolved backend's keys:
+    - conditioning: [cache_hits], [cache_misses], [cache_size],
+      [cache_capacity] (JSON [null] when unbounded), [cache_drops],
+      [poly_ops], then [par_facts], [par_cache_hits], [par_cache_misses],
+      [par_steals] (the per-domain counters summed, all [0] at
+      [jobs = 1]);
+    - circuit: [circuit_nodes], [circuit_edges], [circuit_smoothing],
+      [circuit_cache_hits], [circuit_cache_misses], [circuit_cache_drops];
+    - sample: [sample_strategy], [sample_seed], [sample_draws],
+      [sample_exact_strata], [sample_sampled_strata], [sample_max_hw],
+      [sample_epsilon], [sample_confidence], [sample_converged].
 
-val pp : Format.formatter -> t -> unit
+    [spans] maps each span name to [{"count":N,"ms":D}], in name order
+    — the only durations in the record. *)

@@ -464,21 +464,7 @@ let to_string t =
     t.components;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ json_escape s ^ "\""
+let jstr = Tracejson.quote
 let jfacts fs = "[" ^ String.concat "," (List.map (fun f -> jstr (Fact.to_string f)) fs) ^ "]"
 
 let to_json t =

@@ -109,38 +109,11 @@ let load_db t ~name ~text =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ json_escape s ^ "\""
+let jstr = Tracejson.quote
 let jobj fields =
   "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
   ^ "}"
 let jarr xs = "[" ^ String.concat "," xs ^ "]"
-
-let rec render_json (j : Tracejson.json) =
-  match j with
-  | Tracejson.Null -> "null"
-  | Tracejson.Bool b -> if b then "true" else "false"
-  | Tracejson.Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%g" f
-  | Tracejson.Str s -> jstr s
-  | Tracejson.Arr xs -> jarr (List.map render_json xs)
-  | Tracejson.Obj kvs ->
-    jobj (List.map (fun (k, v) -> (k, render_json v)) kvs)
 
 let field req k =
   match req with
@@ -161,7 +134,9 @@ let int_field req k =
 
 (* [id] is the client's correlation field, echoed verbatim when present. *)
 let with_id id fields =
-  match id with Some j -> ("id", render_json j) :: fields | None -> fields
+  match id with
+  | Some j -> ("id", Tracejson.to_string j) :: fields
+  | None -> fields
 
 let ok_frame id fields = jobj (("ok", "true") :: with_id id fields)
 
@@ -242,7 +217,6 @@ let fresh_engine t ds ~backend ~query_src =
 let requested_name (b : Engine.backend) =
   match b with
   | `Auto -> "auto"
-  | `AutoLegacy -> "auto-legacy"
   | `Conditioning -> "conditioning"
   | `Circuit -> "circuit"
   | `Sample _ -> "sample"

@@ -78,44 +78,6 @@ let shapley_permutations g p =
   permute 0;
   Rational.div !total (Rational.of_bigint (Bigint.factorial g.n))
 
-let shapley_sampled g p ~seed ~samples =
-  if p < 0 || p >= g.n then invalid_arg "Game.shapley_sampled: no such player";
-  if samples <= 0 then invalid_arg "Game.shapley_sampled: need a positive sample count";
-  (* local xorshift so the library stays dependency-free and deterministic *)
-  let state = ref (Int64.of_int (if seed = 0 then 0x2545F491 else seed)) in
-  let next_int bound =
-    let open Int64 in
-    let x = !state in
-    let x = logxor x (shift_left x 13) in
-    let x = logxor x (shift_right_logical x 7) in
-    let x = logxor x (shift_left x 17) in
-    state := x;
-    Int64.to_int (rem (logand x max_int) (of_int bound))
-  in
-  let arr = Array.init g.n (fun i -> i) in
-  let total = ref Rational.zero in
-  for _ = 1 to samples do
-    (* Fisher–Yates shuffle *)
-    for i = g.n - 1 downto 1 do
-      let j = next_int (i + 1) in
-      let t = arr.(i) in
-      arr.(i) <- arr.(j);
-      arr.(j) <- t
-    done;
-    let mask = ref 0 in
-    (try
-       Array.iter
-         (fun x ->
-            if x = p then raise Exit;
-            mask := !mask lor (1 lsl x))
-         arr
-     with Exit -> ());
-    total :=
-      Rational.add !total
-        (Rational.sub (g.wealth (!mask lor (1 lsl p))) (g.wealth !mask))
-  done;
-  Rational.div !total (Rational.of_int samples)
-
 let banzhaf g p =
   if p < 0 || p >= g.n then invalid_arg "Game.banzhaf: no such player";
   let full = (1 lsl g.n) - 1 in

@@ -24,12 +24,6 @@ val shapley_permutations : t -> int -> Rational.t
 (** Direct evaluation of Equation 1 over all [n!] permutations; ground
     truth for tiny games. *)
 
-val shapley_sampled : t -> int -> seed:int -> samples:int -> Rational.t
-(** Monte-Carlo estimate of Equation 1 by sampling random permutations
-    (deterministic in [seed]).  An approximation — the library's exact
-    methods should be preferred whenever they fit; this is the standard
-    fallback beyond them. *)
-
 val banzhaf : t -> int -> Rational.t
 (** The Banzhaf value [2^{1-n} Σ_B (v(B∪p) - v(B))] — the other classical
     power index studied alongside the Shapley value in provenance work;

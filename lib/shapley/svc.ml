@@ -56,10 +56,15 @@ let svc_all ?tel ?jobs ?backend q db =
 let svc_hierarchical q db mu =
   if not (Database.mem_endo mu db) then
     invalid_arg "Svc.svc_hierarchical: fact is not endogenous";
-  let n = Database.size_endo db in
-  let with_mu_exo = Safe_plan.fgmc_polynomial q (Database.make_exogenous mu db) in
-  let without_mu = Safe_plan.fgmc_polynomial q (Database.remove mu db) in
-  svc_from_polynomials ~with_mu_exo ~without_mu ~n
+  let lifted db =
+    match Lifted.cq q db with
+    | Some p -> p
+    | None -> invalid_arg "Svc.svc_hierarchical: lifted rules stuck"
+  in
+  svc_from_polynomials
+    ~with_mu_exo:(lifted (Database.make_exogenous mu db))
+    ~without_mu:(lifted (Database.remove mu db))
+    ~n:(Database.size_endo db)
 
 let banzhaf q db mu =
   if not (Database.mem_endo mu db) then invalid_arg "Svc.banzhaf: fact is not endogenous";

@@ -47,10 +47,10 @@ val svc_all_naive : Query.t -> Database.t -> (Fact.t * Rational.t) list
 
 val svc_hierarchical : Cq.t -> Database.t -> Fact.t -> Rational.t
 (** The FP side of the [11] dichotomy with a polynomial-time {e guarantee}:
-    Claim A.1 routed through the lifted {!Safe_plan} evaluator.  Only for
-    hierarchical self-join-free CQs.
-    @raise Invalid_argument outside that fragment or if the fact is not
-    endogenous. *)
+    Claim A.1 routed through the lifted evaluator ({!Lifted.cq}), which
+    covers every hierarchical self-join-free CQ.
+    @raise Invalid_argument when the lifted rules get stuck (e.g. on a
+    non-hierarchical query) or if the fact is not endogenous. *)
 
 val svc_from_polynomials : with_mu_exo:Poly.Z.t -> without_mu:Poly.Z.t -> n:int -> Rational.t
 (** The Claim A.1 arithmetic alone: combine the two FGMC generating

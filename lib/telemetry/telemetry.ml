@@ -262,22 +262,6 @@ let metrics t = t.registry.metrics
 (* ---------------- exporters ---------------- *)
 
 module Export = struct
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-         match c with
-         | '"' -> Buffer.add_string buf "\\\""
-         | '\\' -> Buffer.add_string buf "\\\\"
-         | '\n' -> Buffer.add_string buf "\\n"
-         | '\r' -> Buffer.add_string buf "\\r"
-         | '\t' -> Buffer.add_string buf "\\t"
-         | c when Char.code c < 0x20 ->
-           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-         | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
   let ms s = s *. 1000.
 
   (* Human-readable tree: spans grouped per track, nested by call path,
@@ -361,7 +345,7 @@ module Export = struct
     String.concat ","
       (List.map
          (fun (k, v) ->
-            Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+            Printf.sprintf "\"%s\":\"%s\"" (Tracejson.escape k) (Tracejson.escape v))
          attrs)
 
   let jsonl t =
@@ -372,7 +356,7 @@ module Export = struct
            (Printf.sprintf
               "{\"type\":\"span\",\"name\":\"%s\",\"track\":%d,\"depth\":%d,\
                \"start_ms\":%.3f,\"dur_ms\":%.3f,\"attrs\":{%s}}\n"
-              (json_escape e.ev_name) e.ev_track e.ev_depth (ms e.ev_start_s)
+              (Tracejson.escape e.ev_name) e.ev_track e.ev_depth (ms e.ev_start_s)
               (ms e.ev_dur_s) (attrs_json e.ev_attrs)))
       (events t);
     List.iter
@@ -381,16 +365,16 @@ module Export = struct
          | Counter c ->
            Buffer.add_string buf
              (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n"
-                (json_escape name) (Counter.value c))
+                (Tracejson.escape name) (Counter.value c))
          | Gauge g ->
            Buffer.add_string buf
              (Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%d}\n"
-                (json_escape name) (Gauge.value g))
+                (Tracejson.escape name) (Gauge.value g))
          | Histogram h ->
            Buffer.add_string buf
              (Printf.sprintf
                 "{\"type\":\"histogram\",\"name\":\"%s\",\"bins\":[%s]}\n"
-                (json_escape name)
+                (Tracejson.escape name)
                 (String.concat ","
                    (List.map
                       (fun (v, n) -> Printf.sprintf "[%d,%d]" v n)
@@ -418,7 +402,7 @@ module Export = struct
            (Printf.sprintf
               "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\
                \"args\":{\"name\":\"%s\"}}"
-              track (json_escape name)))
+              track (Tracejson.escape name)))
       (tracks t);
     List.iter
       (fun e ->
@@ -431,7 +415,7 @@ module Export = struct
            (Printf.sprintf
               "{\"name\":\"%s\",\"cat\":\"svc\",\"ph\":\"X\",\"ts\":%.3f,\
                \"dur\":%.3f,\"pid\":1,\"tid\":%d%s}"
-              (json_escape e.ev_name)
+              (Tracejson.escape e.ev_name)
               (e.ev_start_s *. 1e6)
               (e.ev_dur_s *. 1e6)
               e.ev_track args))
@@ -449,19 +433,19 @@ module Export = struct
              (Printf.sprintf
                 "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\
                  \"tid\":0,\"args\":{\"value\":%d}}"
-                (json_escape name) end_ts (Counter.value c))
+                (Tracejson.escape name) end_ts (Counter.value c))
          | Gauge g ->
            emit
              (Printf.sprintf
                 "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\
                  \"tid\":0,\"args\":{\"value\":%d}}"
-                (json_escape name) end_ts (Gauge.value g))
+                (Tracejson.escape name) end_ts (Gauge.value g))
          | Histogram h ->
            emit
              (Printf.sprintf
                 "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\
                  \"tid\":0,\"args\":{\"count\":%d,\"total\":%d}}"
-                (json_escape name) end_ts (Histogram.count h)
+                (Tracejson.escape name) end_ts (Histogram.count h)
                 (Histogram.total h)))
       (metrics t);
     Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";

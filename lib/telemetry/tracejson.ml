@@ -1,9 +1,9 @@
-(* Reading side of the Chrome trace_event format: a minimal dependency-free
-   JSON parser, a schema check, and the renderer behind `svc trace
-   summary`.  The parser accepts exactly the JSON grammar (objects,
-   arrays, strings with escapes, numbers, true/false/null); it exists so
-   the CLI can validate and summarize trace files without pulling in a
-   JSON library. *)
+(* The code base's JSON: a minimal dependency-free parser and printer,
+   then the reading side of the Chrome trace_event format (a schema check
+   and the renderer behind `svc trace summary`).  The parser accepts
+   exactly the JSON grammar (objects, arrays, strings with escapes,
+   numbers, true/false/null); it exists so the CLI can validate and
+   summarize trace files without pulling in a JSON library. *)
 
 type json =
   | Null
@@ -181,6 +181,43 @@ let parse (s : string) : (json, string) result =
     if !pos <> n then fail "trailing content";
     Ok v
   with Malformed msg -> Error msg
+
+(* ---------------- writing ---------------- *)
+
+(* The one JSON string escaper of the code base: the two-character forms
+   for the common controls, [\u00XX] for the rest. *)
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+       match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | c when Char.code c < 0x20 ->
+         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+       | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let quote s = "\"" ^ escape s ^ "\""
+
+let rec to_string (j : json) =
+  match j with
+  | Null -> "null"
+  | Bool b -> if b then "true" else "false"
+  | Num f ->
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else Printf.sprintf "%g" f
+  | Str s -> quote s
+  | Arr xs -> "[" ^ String.concat "," (List.map to_string xs) ^ "]"
+  | Obj kvs ->
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> quote k ^ ":" ^ to_string v) kvs)
+    ^ "}"
 
 (* ---------------- trace-event schema ---------------- *)
 

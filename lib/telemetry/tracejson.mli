@@ -1,7 +1,7 @@
-(** Reading side of the Chrome [trace_event] format: a minimal JSON
-    parser, a schema validator, and the renderer behind
-    [svc trace summary].  Dependency-free on purpose — the repo has no
-    JSON library and should not grow one for this. *)
+(** The code base's JSON: a minimal parser and printer, plus the reading
+    side of the Chrome [trace_event] format (a schema validator and the
+    renderer behind [svc trace summary]).  Dependency-free on purpose —
+    the repo has no JSON library and should not grow one for this. *)
 
 type json =
   | Null
@@ -13,6 +13,19 @@ type json =
 
 val parse : string -> (json, string) result
 (** Parse a complete JSON document.  Errors carry a byte offset. *)
+
+val escape : string -> string
+(** The body of a JSON string literal: double quotes and backslashes
+    backslash-escaped, newline, carriage return and tab as [\n], [\r],
+    [\t], every other control character as [\u00XX].  Every JSON writer
+    in the code base escapes through this. *)
+
+val quote : string -> string
+(** [escape]d and wrapped in double quotes. *)
+
+val to_string : json -> string
+(** Compact one-line rendering: integral numbers below [1e15] without a
+    fraction, other numbers in [%g] form. *)
 
 (** One validated trace event. *)
 type tev = {

@@ -66,7 +66,8 @@ val eval :
     d-DNNF compilation under the circuit backend.  Values are identical
     for every [jobs] and every backend.  With [tel], each case runs in a
     [workload.case] span (attribute [case] = its name) and every case's
-    engine records into the same tracer. *)
+    engine records into the same tracer, so each case's [stats] counts
+    the counters and spans of every case before it too. *)
 
 (** {1 Random generation} *)
 

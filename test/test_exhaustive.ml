@@ -261,48 +261,32 @@ let conformance_goldens =
          golden_digests)
 
 (* The one-line JSON emitted by [Stats.to_json] is consumed by the bench
-   harness and the serving layer; pin its field names and order so a
-   refactor of the stats record cannot silently reshape it. *)
-let stats_json_keys =
-  [
-    "players"; "compilations"; "conditionings"; "cache_hits"; "cache_misses";
-    "cache_size"; "cache_capacity"; "cache_drops"; "poly_ops"; "jobs";
-    "par_facts"; "par_cache_hits"; "par_cache_misses"; "par_steals";
-    "compile_ms"; "eval_ms"; "backend"; "circuit_nodes"; "circuit_edges";
-    "circuit_smoothing"; "circuit_cache_hits"; "circuit_cache_misses";
-    "circuit_cache_drops"; "circuit_compile_ms"; "circuit_traverse_ms";
-    "sample_strategy"; "sample_seed"; "sample_draws"; "sample_exact_strata";
-    "sample_sampled_strata"; "sample_max_hw"; "sample_epsilon";
-    "sample_confidence"; "sample_converged";
-  ]
-
-let json_keys s =
-  (* top-level keys of a flat one-line JSON object: no nested objects and
-     no commas inside values, which holds for [Stats.to_json] output *)
-  let body = String.sub s 1 (String.length s - 2) in
-  List.map
-    (fun field ->
-       match String.index_opt field ':' with
-       | Some i ->
-         let k = String.trim (String.sub field 0 i) in
-         String.sub k 1 (String.length k - 2)
-       | None -> Alcotest.failf "malformed JSON field %S" field)
-    (String.split_on_char ',' body)
-
+   harness, the cram tests and CI; pin each backend's field names and
+   order so a refactor of the stats record cannot silently reshape it,
+   and check that no backend prints another backend's fields. *)
 let stats_json_shape =
   Alcotest.test_case "Stats.to_json shape is pinned" `Quick (fun () ->
-      Alcotest.(check (list string))
-        "keys of zero" stats_json_keys
-        (json_keys (Stats.to_json Stats.zero));
       let case = Workload.generate ~family:"star" ~seed:0 ~size:3 in
       List.iter
-        (fun backend ->
-           let e = Engine.create ~backend ~jobs:4 case.Workload.query case.Workload.db in
+        (fun (backend, jobs) ->
+           let e = Engine.create ~backend ~jobs case.Workload.query case.Workload.db in
            ignore (Engine.svc_all e);
+           let s = Engine.stats e in
+           let name = Stats.backend_name s in
+           let keys = json_keys (Stats.to_json s) in
+           let label = Printf.sprintf "%s jobs=%d" name jobs in
            Alcotest.(check (list string))
-             "keys of a live run" stats_json_keys
-             (json_keys (Stats.to_json (Engine.stats e))))
-        [ `Conditioning; `Circuit; `Sample Sample.default ])
+             (label ^ ": pinned keys") (stats_json_keys name) keys;
+           List.iter
+             (fun (prefix, owner) ->
+                if owner <> name then
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%s: no %s* keys" label prefix) []
+                    (List.filter (String.starts_with ~prefix) keys))
+             [ ("circuit_", "circuit"); ("sample_", "sample");
+               ("par_", "conditioning"); ("cache_", "conditioning") ])
+        [ (`Conditioning, 1); (`Conditioning, 4); (`Circuit, 1); (`Circuit, 4);
+          (`Sample Sample.default, 1); (`Sample Sample.default, 4) ])
 
 let suite =
   List.concat_map

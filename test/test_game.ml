@@ -120,25 +120,10 @@ let test_banzhaf () =
   Alcotest.check_raises "bad player" (Invalid_argument "Game.banzhaf: no such player")
     (fun () -> ignore (Game.banzhaf majority 7))
 
-let test_sampling () =
-  (* with all n! = 6 permutations equally likely, enough samples land close
-     to the exact value; use a crude tolerance *)
-  let exact = Game.shapley majority 0 in
-  let approx = Game.shapley_sampled majority 0 ~seed:42 ~samples:3000 in
-  let err = Rational.to_float (Rational.abs (Rational.sub exact approx)) in
-  Alcotest.(check bool) (Printf.sprintf "error %.3f < 0.05" err) true (err < 0.05);
-  (* determinism *)
-  check_rational "same seed, same estimate" approx
-    (Game.shapley_sampled majority 0 ~seed:42 ~samples:3000);
-  Alcotest.check_raises "bad samples"
-    (Invalid_argument "Game.shapley_sampled: need a positive sample count") (fun () ->
-        ignore (Game.shapley_sampled majority 0 ~seed:1 ~samples:0))
-
 let suite =
   [
     Alcotest.test_case "known Shapley values" `Quick test_known_shapley;
     Alcotest.test_case "Banzhaf values" `Quick test_banzhaf;
-    Alcotest.test_case "Monte-Carlo sampling" `Quick test_sampling;
     Alcotest.test_case "Eq.1 = Eq.2" `Quick test_permutation_agreement;
     Alcotest.test_case "axioms" `Quick test_axioms;
     Alcotest.test_case "monotone/binary predicates" `Quick test_monotone_binary;

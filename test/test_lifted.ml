@@ -136,13 +136,14 @@ let prop_safe_implies_constructive =
        | Safety.Unsafe | Safety.Unknown -> true)
 
 let prop_safe_plan_agreement =
-  qcheck ~count:40 "lifted engine = Safe_plan on hierarchical sjf-CQs"
+  qcheck ~count:40 "lifted engine = lineage counting on hierarchical sjf-CQs"
     QCheck2.Gen.(int_range 0 1000000)
     (fun seed ->
        let q = Cq.parse "R(?x), S(?x,?y)" in
        let db = random_db ~rels:[ ("R", 1); ("S", 2) ] seed in
        match Lifted.cq q db with
-       | Some p -> Poly.Z.equal p (Safe_plan.fgmc_polynomial q db)
+       | Some p ->
+         Poly.Z.equal p (Model_counting.fgmc_polynomial (Query.Cq q) db)
        | None -> false)
 
 let suite =

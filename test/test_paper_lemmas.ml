@@ -115,8 +115,8 @@ let prop_lemma_45 =
          (Query.minimal_supports_in q1 db))
 
 (* Hierarchy structure: a connected hierarchical sjf-CQ has a separator
-   variable (what Safe_plan relies on); conversely, the non-hierarchical
-   witness triple has no separator in its component. *)
+   variable (what the lifted project rule relies on); conversely, the
+   non-hierarchical witness triple has no separator in its component. *)
 let test_hierarchy_separators () =
   let has_separator atoms =
     let cq = Cq.of_atoms atoms in

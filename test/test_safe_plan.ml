@@ -1,7 +1,13 @@
 open Test_util
 
-(* The lifted FGMC evaluator for hierarchical sjf-CQs: validated against
-   the lineage engine and brute force. *)
+(* Safe plans: the lifted FGMC evaluator ({!Lifted}) on hierarchical
+   sjf-CQs, where its rules never get stuck — validated against brute
+   force, and the PTIME SVC built on it. *)
+
+let lifted q db =
+  match Lifted.cq q db with
+  | Some p -> p
+  | None -> Alcotest.failf "lifted rules stuck on %s" (Cq.to_string q)
 
 let test_single_atom () =
   let q = Cq.parse "R(?x)" in
@@ -9,12 +15,12 @@ let test_single_atom () =
   (* subsets with ≥1 R fact, S(3) free: (1+z)^2 - 1 times (1+z) *)
   check_zpoly "single atom"
     (Model_counting.fgmc_polynomial_brute (Query.Cq q) db)
-    (Safe_plan.fgmc_polynomial q db);
+    (lifted q db);
   (* an exogenous match makes the query certain *)
   let db2 = Database.make ~endo:[ fact "R" [ "1" ] ] ~exo:[ fact "R" [ "9" ] ] in
   check_zpoly "exo certain"
     (Poly.Z.of_coeffs [ Bigint.one; Bigint.one ])
-    (Safe_plan.fgmc_polynomial q db2)
+    (lifted q db2)
 
 let test_repeated_variable () =
   let q = Cq.parse "R(?x,?x)" in
@@ -23,7 +29,7 @@ let test_repeated_variable () =
   in
   check_zpoly "diagonal only"
     (Model_counting.fgmc_polynomial_brute (Query.Cq q) db)
-    (Safe_plan.fgmc_polynomial q db)
+    (lifted q db)
 
 let test_join_with_separator () =
   let q = Cq.parse "R(?x), S(?x,?y)" in
@@ -35,7 +41,7 @@ let test_join_with_separator () =
   in
   check_zpoly "separator projection"
     (Model_counting.fgmc_polynomial_brute (Query.Cq q) db)
-    (Safe_plan.fgmc_polynomial q db)
+    (lifted q db)
 
 let test_independent_join () =
   let q = Cq.parse "R(?x), T(?y)" in
@@ -44,7 +50,7 @@ let test_independent_join () =
   in
   check_zpoly "independent join"
     (Model_counting.fgmc_polynomial_brute (Query.Cq q) db)
-    (Safe_plan.fgmc_polynomial q db)
+    (lifted q db)
 
 let test_three_level () =
   (* R(x), S(x,y), U(x,y,z): hierarchical with nested separators *)
@@ -57,7 +63,7 @@ let test_three_level () =
   in
   check_zpoly "nested separators"
     (Model_counting.fgmc_polynomial_brute (Query.Cq q) db)
-    (Safe_plan.fgmc_polynomial q db)
+    (lifted q db)
 
 let test_constants_in_query () =
   let q = Cq.parse "R(a,?x), S(?x)" in
@@ -68,19 +74,20 @@ let test_constants_in_query () =
   in
   check_zpoly "query constants"
     (Model_counting.fgmc_polynomial_brute (Query.Cq q) db)
-    (Safe_plan.fgmc_polynomial q db)
+    (lifted q db)
 
 let test_guards () =
   let db = Database.make ~endo:[ fact "R" [ "1" ] ] ~exo:[] in
-  Alcotest.check_raises "self-join rejected"
-    (Invalid_argument "Safe_plan.fgmc_polynomial: query has self-joins") (fun () ->
-        ignore (Safe_plan.fgmc_polynomial (Cq.parse "R(?x,?y), R(?y,?z)") db));
-  Alcotest.check_raises "non-hierarchical rejected"
-    (Invalid_argument "Safe_plan.fgmc_polynomial: query is not hierarchical") (fun () ->
-        ignore (Safe_plan.fgmc_polynomial (Cq.parse "R(?x), S(?x,?y), T(?y)") db));
-  Alcotest.(check bool) "supported" true (Safe_plan.supported (Cq.parse "R(?x), S(?x,?y)"));
-  Alcotest.(check bool) "not supported" false
-    (Safe_plan.supported (Cq.parse "R(?x), S(?x,?y), T(?y)"))
+  let q_rst = Cq.parse "R(?x), S(?x,?y), T(?y)" in
+  Alcotest.(check bool) "non-hierarchical: rules stuck" true
+    (Option.is_none (Lifted.cq q_rst db));
+  Alcotest.check_raises "svc_hierarchical refuses a stuck query"
+    (Invalid_argument "Svc.svc_hierarchical: lifted rules stuck") (fun () ->
+        ignore (Svc.svc_hierarchical q_rst db (fact "R" [ "1" ])));
+  Alcotest.check_raises "svc_hierarchical needs an endogenous fact"
+    (Invalid_argument "Svc.svc_hierarchical: fact is not endogenous")
+    (fun () ->
+        ignore (Svc.svc_hierarchical (Cq.parse "R(?x)") db (fact "R" [ "2" ])))
 
 let prop_matches_brute =
   qcheck ~count:60 "safe plan = brute force on random instances"
@@ -106,7 +113,7 @@ let prop_matches_brute =
          else db
        in
        Poly.Z.equal
-         (Safe_plan.fgmc_polynomial q db)
+         (lifted q db)
          (Model_counting.fgmc_polynomial_brute (Query.Cq q) db))
 
 let prop_polynomial_guarantee =
@@ -114,7 +121,7 @@ let prop_polynomial_guarantee =
   qcheck ~count:5 "scales to large instances" QCheck2.Gen.(int_range 20 60) (fun spokes ->
       let db = Gen.star ~spokes in
       let q = Cq.parse "R(?x), S(?x,?y)" in
-      let p = Safe_plan.fgmc_polynomial q db in
+      let p = lifted q db in
       (* on a single star: supports = subsets containing R(hub) and ≥1 spoke *)
       Bigint.equal (Poly.Z.total p)
         (Bigint.sub (Bigint.pow Bigint.two spokes) Bigint.one))

@@ -347,13 +347,16 @@ let test_stats_surface () =
   in
   let e = Engine.create ~backend:(`Sample cfg) qrst db in
   ignore (Engine.svc_all e);
-  let s = Engine.stats e in
-  Alcotest.(check string) "strategy" "mc" s.Stats.sample_strategy;
-  Alcotest.(check int) "seed" 9 s.Stats.sample_seed;
-  let r = Option.get (Engine.sample_report e) in
-  Alcotest.(check int) "draws agree with the report" r.Sample.total_draws
-    s.Stats.sample_draws;
-  Alcotest.(check string) "epsilon echoed" "1/20" s.Stats.sample_epsilon
+  match (Engine.stats e).Stats.backend with
+  | Stats.Sample x ->
+    Alcotest.(check string) "strategy" "mc" x.strategy;
+    Alcotest.(check int) "seed" 9 x.seed;
+    let r = Option.get (Engine.sample_report e) in
+    Alcotest.(check int) "draws agree with the report" r.Sample.total_draws
+      x.draws;
+    Alcotest.(check string) "epsilon echoed" "1/20" x.epsilon
+  | Stats.Conditioning _ | Stats.Circuit _ ->
+    Alcotest.fail "expected sample stats"
 
 let suite =
   [

@@ -300,40 +300,14 @@ let test_tracejson_malformed () =
 (* Differential: telemetry is observationally free                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The stats JSON shape predates telemetry and is pinned by the cram
-   tests and the BENCH baselines; the registry projection must emit
-   exactly these keys in exactly this order. *)
-let pinned_stats_keys =
-  [ "players"; "compilations"; "conditionings"; "cache_hits"; "cache_misses";
-    "cache_size"; "cache_capacity"; "cache_drops"; "poly_ops"; "jobs";
-    "par_facts"; "par_cache_hits"; "par_cache_misses"; "par_steals";
-    "compile_ms"; "eval_ms"; "backend"; "circuit_nodes"; "circuit_edges";
-    "circuit_smoothing"; "circuit_cache_hits"; "circuit_cache_misses";
-    "circuit_cache_drops"; "circuit_compile_ms"; "circuit_traverse_ms";
-    "sample_strategy"; "sample_seed"; "sample_draws"; "sample_exact_strata";
-    "sample_sampled_strata"; "sample_max_hw"; "sample_epsilon";
-    "sample_confidence"; "sample_converged" ]
-
-let json_keys text =
-  match Tracejson.parse text with
-  | Ok (Tracejson.Obj fields) -> List.map fst fields
-  | Ok _ -> Alcotest.fail "stats JSON is not an object"
-  | Error msg -> Alcotest.failf "stats JSON failed to parse: %s" msg
-
 let strip_wallclock text =
-  (* compare JSON field-for-field with wall-clock values neutralized *)
-  match Tracejson.parse text with
-  | Ok (Tracejson.Obj fields) ->
-    List.map
-      (fun (k, v) ->
-         if
-           List.mem k
-             [ "compile_ms"; "eval_ms"; "circuit_compile_ms";
-               "circuit_traverse_ms"; "par_steals" ]
-         then (k, Tracejson.Null)
-         else (k, v))
-      fields
-  | _ -> Alcotest.fail "stats JSON is not an object"
+  (* compare JSON field-for-field with the span rollup (absent with
+     telemetry off) and the scheduling-dependent steal count neutralized *)
+  List.map
+    (fun (k, v) ->
+       if List.mem k [ "spans"; "par_steals" ] then (k, Tracejson.Null)
+       else (k, v))
+    (json_fields text)
 
 let backends_jobs =
   [ (`Conditioning, 1); (`Conditioning, 4); (`Circuit, 1); (`Circuit, 4);
@@ -361,13 +335,43 @@ let test_differential_off_vs_on () =
        let j_off = Stats.to_json (Engine.stats off)
        and j_on = Stats.to_json (Engine.stats on) in
        Alcotest.(check (list string))
-         (label ^ ": pinned key order") pinned_stats_keys (json_keys j_off);
+         (label ^ ": pinned key order")
+         (stats_json_keys (Stats.backend_name (Engine.stats off)))
+         (json_keys j_off);
        Alcotest.(check (list string))
          (label ^ ": same keys with telemetry on") (json_keys j_off)
          (json_keys j_on);
        Alcotest.(check bool)
          (label ^ ": same values with telemetry on") true
          (strip_wallclock j_off = strip_wallclock j_on))
+    backends_jobs
+
+(* One clock: every duration the stats record carries comes from the
+   tracer's clock, so a fake clock that never advances pins them all to
+   exactly zero — while the spans themselves are still recorded. *)
+let test_fake_clock_stats () =
+  List.iter
+    (fun (backend, jobs) ->
+       let clock, _advance = Telemetry.Clock.fake () in
+       let tel = Telemetry.create ~clock ~enabled:true () in
+       let e = Engine.create ~tel ~jobs ~backend qrst demo_db in
+       ignore (Engine.svc_all e);
+       let s = Engine.stats e in
+       let label = Printf.sprintf "%s jobs=%d" (Stats.backend_name s) jobs in
+       (* every number under a duration key, anywhere in the record *)
+       let rec durations (k, v) =
+         match v with
+         | Tracejson.Obj kvs -> List.concat_map durations kvs
+         | Tracejson.Num d
+           when k = "ms" || String.ends_with ~suffix:"_ms" k
+                || String.ends_with ~suffix:"_s" k -> [ d ]
+         | _ -> []
+       in
+       let ds = List.concat_map durations (json_fields (Stats.to_json s)) in
+       Alcotest.(check bool) (label ^ ": spans recorded") true (ds <> []);
+       Alcotest.(check (list (float 0.)))
+         (label ^ ": every duration is zero")
+         (List.map (fun _ -> 0.) ds) ds)
     backends_jobs
 
 let test_normalize_deterministic () =
@@ -385,9 +389,9 @@ let test_normalize_deterministic () =
          true (s1 = s2);
        (* the span rollup survives normalization with durations zeroed *)
        Alcotest.(check bool) "span durations zeroed" true
-         (Array.for_all (fun (_, _, d) -> d = 0.) s1.Stats.span_s);
+         (Array.for_all (fun (_, _, d) -> d = 0.) s1.Stats.spans);
        Alcotest.(check bool) "span names kept" true
-         (jobs = 1 || Array.exists (fun (n, _, _) -> n = "engine.slice") s1.Stats.span_s))
+         (jobs = 1 || Array.exists (fun (n, _, _) -> n = "engine.slice") s1.Stats.spans))
     [ (`Conditioning, 1); (`Conditioning, 4); (`Circuit, 1) ]
 
 (* --jobs N: the per-domain trace lanes must reconstruct the same chunk
@@ -399,6 +403,12 @@ let test_parallel_lanes_match_stats () =
   let e = Engine.create ~tel ~jobs ~backend:`Conditioning qrst demo_db in
   ignore (Engine.svc_all e);
   let stats = Engine.stats e in
+  let domains =
+    match stats.Stats.backend with
+    | Stats.Conditioning c -> c.domains
+    | Stats.Circuit _ | Stats.Sample _ ->
+      Alcotest.fail "expected conditioning stats"
+  in
   let chrome = Telemetry.Export.chrome tel in
   let evs =
     match Tracejson.parse chrome with
@@ -424,7 +434,7 @@ let test_parallel_lanes_match_stats () =
        in
        Alcotest.(check int)
          (Printf.sprintf "slot %d lane = d_facts" slot)
-         stats.Stats.domains.(slot).Stats.d_facts facts)
+         domains.(slot).Stats.d_facts facts)
     slices;
   Alcotest.(check int) "lanes sum to par_facts"
     (Stats.par_facts stats)
@@ -482,6 +492,8 @@ let suite =
       `Quick test_differential_off_vs_on;
     Alcotest.test_case "normalize is deterministic across real runs" `Quick
       test_normalize_deterministic;
+    Alcotest.test_case "fake clock: every stats duration is zero" `Quick
+      test_fake_clock_stats;
     Alcotest.test_case "parallel trace lanes match par_* stats" `Quick
       test_parallel_lanes_match_stats;
     Alcotest.test_case "pool chunk spans and counters" `Quick

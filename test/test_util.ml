@@ -34,3 +34,33 @@ let fgmc_agree q db =
   Poly.Z.equal
     (Model_counting.fgmc_polynomial q db)
     (Model_counting.fgmc_polynomial_brute q db)
+
+(* The pinned [Stats.to_json] key list of each backend: the shared five,
+   the backend's own keys, then [spans].  The bench harness, the cram
+   tests and CI read these names. *)
+let stats_json_keys backend =
+  let own =
+    match backend with
+    | "conditioning" ->
+      [ "cache_hits"; "cache_misses"; "cache_size"; "cache_capacity";
+        "cache_drops"; "poly_ops"; "par_facts"; "par_cache_hits";
+        "par_cache_misses"; "par_steals" ]
+    | "circuit" ->
+      [ "circuit_nodes"; "circuit_edges"; "circuit_smoothing";
+        "circuit_cache_hits"; "circuit_cache_misses"; "circuit_cache_drops" ]
+    | "sample" ->
+      [ "sample_strategy"; "sample_seed"; "sample_draws";
+        "sample_exact_strata"; "sample_sampled_strata"; "sample_max_hw";
+        "sample_epsilon"; "sample_confidence"; "sample_converged" ]
+    | other -> Alcotest.failf "no pinned stats keys for backend %S" other
+  in
+  [ "backend"; "players"; "jobs"; "compilations"; "conditionings" ]
+  @ own @ [ "spans" ]
+
+let json_fields text =
+  match Tracejson.parse text with
+  | Ok (Tracejson.Obj fields) -> fields
+  | Ok _ -> Alcotest.fail "JSON is not an object"
+  | Error msg -> Alcotest.failf "JSON failed to parse: %s" msg
+
+let json_keys text = List.map fst (json_fields text)
