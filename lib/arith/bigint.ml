@@ -1,11 +1,15 @@
 (* Arbitrary-precision signed integers with an adaptive two-tier
    representation:
 
-   - [Sml v]: a tagged native int for every value whose magnitude fits in
-     62 bits (so [v] is never [min_int], keeping [neg]/[abs] total).  All
-     of the counting arithmetic behind conditioning, the circuit sweeps
-     and the Shapley coefficient loops lives here for realistic instance
-     sizes, at machine-word cost and with zero allocation.
+   - [Sml v]: a native int payload for every value whose magnitude fits
+     in 62 bits (so [v] is never [min_int], keeping [neg]/[abs] total).
+     The counting arithmetic behind conditioning and the Shapley
+     coefficient loops lives here for realistic instance sizes, at
+     machine-word cost per operation — but not allocation-free: each
+     [Sml] result is a fresh two-word block (header + payload), so a
+     small [mul] followed by an [add] allocates 4 words.  Loops that can
+     bound their values in advance avoid the tier altogether; the circuit
+     sweeps run on plain ints on universes of at most 61 facts.
    - [Big]: the sign + magnitude representation, magnitude a little-endian
      [int array] of base 2^24 limbs with no trailing zero limb.
 

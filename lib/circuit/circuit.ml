@@ -11,7 +11,10 @@
 
    Nodes live in one arena; a child id is always smaller than its
    parent's (construction is bottom-up), so ascending id order is a
-   topological order — the evaluator is two array sweeps. *)
+   topological order.  A session's arena also holds nodes that earlier
+   compiles built and this circuit cannot reach, so each circuit keeps
+   its live ids (reachable from the root) in ascending order, and the
+   evaluator is two sweeps over them. *)
 
 type node =
   | NTrue
@@ -62,7 +65,7 @@ type t = {
   hits : Telemetry.Counter.t;
   misses : Telemetry.Counter.t;
   drops : Telemetry.Counter.t;
-  mutable n_nodes : int; (* reachable from root, frozen at compile *)
+  mutable live : int array; (* ids reachable from root, ascending; frozen at compile *)
   mutable n_edges : int;
   mutable reused : int; (* reachable nodes inherited from the session *)
 }
@@ -286,11 +289,13 @@ let build_root c rank plan cache phi =
     end
   | _ -> build c rank cache phi
 
-(* Sub-circuits built for components that a later ⊥ collapsed can be
-   unreachable from the root; size metrics report the live circuit.
+(* Sub-circuits built for components that a later ⊥ collapsed, and
+   everything earlier compiles of a session left in the arena, can be
+   unreachable from the root; size metrics and the evaluator see only
+   the live circuit.  Returns the live ids in ascending order.
    [base_len] is the arena length before this compile: reachable ids
    below it were inherited from the session, not built. *)
-let count_reachable c ~base_len =
+let mark_live c ~base_len =
   let reach = Array.make c.len false in
   let rec mark id =
     if not reach.(id) then begin
@@ -301,18 +306,17 @@ let count_reachable c ~base_len =
     end
   in
   mark c.root;
-  let nodes = ref 0 and edges = ref 0 and reused = ref 0 in
-  Array.iteri
-    (fun id live ->
-       if live then begin
-         incr nodes;
-         if id < base_len then incr reused;
-         match c.nodes.(id) with
-         | NAnd ch | NOr ch -> edges := !edges + Array.length ch
-         | _ -> ()
-       end)
-    reach;
-  (!nodes, !edges, !reused)
+  let live = ref [] and edges = ref 0 and reused = ref 0 in
+  for id = c.len - 1 downto 0 do
+    if reach.(id) then begin
+      live := id :: !live;
+      if id < base_len then incr reused;
+      match c.nodes.(id) with
+      | NAnd ch | NOr ch -> edges := !edges + Array.length ch
+      | _ -> ()
+    end
+  done;
+  (Array.of_list !live, !edges, !reused)
 
 let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
     ?session phi =
@@ -347,7 +351,7 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
         hits;
         misses;
         drops;
-        n_nodes = 0;
+        live = [||];
         n_edges = 0;
         reused = 0;
       }
@@ -363,7 +367,7 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
         hits;
         misses;
         drops;
-        n_nodes = 0;
+        live = [||];
         n_edges = 0;
         reused = 0;
       }
@@ -376,8 +380,9 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
       ignore (alloc c NTrue Fact.Set.empty : int); (* id 0 *)
       ignore (alloc c NFalse Fact.Set.empty : int); (* id 1 *)
       c.root <- build_root c rank plan cache phi);
-  let nodes, edges, reused = count_reachable c ~base_len in
-  c.n_nodes <- nodes;
+  let live, edges, reused = mark_live c ~base_len in
+  let nodes = Array.length live in
+  c.live <- live;
   c.n_edges <- edges;
   c.reused <- reused;
   (match session with Some s -> s.Session.prev <- Some c | None -> ());
@@ -394,7 +399,7 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
 let session_adopt s c = s.Session.prev <- Some c
 
 let vars c = c.varsets.(c.root)
-let node_count c = c.n_nodes
+let node_count c = Array.length c.live
 let edge_count c = c.n_edges
 let smoothing_nodes c = c.smoothing
 let reused_nodes c = c.reused
@@ -408,99 +413,143 @@ type evaluation = {
   poly_ops : int;
 }
 
-(* One bottom-up pass (per-node size polynomials p) and one top-down pass
-   (per-node gradients g = ∂p_root/∂p_node, chain rule over the DAG in
-   reverse id order).  By smoothness + decomposability + determinism the
-   root polynomial is multilinear in the leaf weights w(μ)=z, w(¬μ)=1,
-   so g at the positive literal of μ is Σ_{S ∌ μ, S∪{μ} ⊨ φ} z^|S| —
-   exactly C(φ[μ:=1]) over the circuit variables minus μ. *)
-let evaluate ?(tel = Telemetry.disabled ()) c ~universe =
-  let cvars = vars c in
-  if not (Fact.Set.subset cvars (Fact.Set.of_list universe)) then
-    invalid_arg "Circuit.evaluate: circuit mentions a fact outside the universe";
-  let ops = ref 0 in
-  (* The ring ops, with the identities that dominate the circuit (neutral
-     elements from ¬μ leaves, z from μ leaves) short-circuited: a smoothed
-     decision wrapper is [μ ∧ hi], and paying a full convolution to
-     multiply by 1 or z would drown the traversal in Bigint work. *)
-  let mul a b =
-    if Poly.Z.equal a Poly.Z.one then b
-    else if Poly.Z.equal b Poly.Z.one then a
-    else if Poly.Z.equal a Poly.Z.x then (incr ops; Poly.Z.shift 1 b)
-    else if Poly.Z.equal b Poly.Z.x then (incr ops; Poly.Z.shift 1 a)
-    else (incr ops; Poly.Z.mul a b)
-  in
-  let add a b =
-    if Poly.Z.is_zero a then b
-    else if Poly.Z.is_zero b then a
-    else (incr ops; Poly.Z.add a b)
-  in
-  (* Smoothing gadgets [μ ∨ ¬μ] are structural (so {!Check} can verify
-     smoothness) but algebraically they are just the factor (1 + z): a
-     ∧-node with k gadget children multiplies by the {e memoized}
-     [(1+z)^k] in one op instead of k full convolutions.  A gadget is any
-     ∨ of the two opposite literals of one variable — whether [smooth_to]
-     made it or a trivial decision collapsed into the same shape. *)
+(* The polynomial ring the sweeps compute in.  [equal] and [is_zero]
+   drive the short-circuits, so both instances must keep their values
+   canonical (no trailing zero coefficient): then they take the same
+   branches and count the same [poly_ops]. *)
+module type RING = sig
+  type t
+
+  val zero : t
+  val one : t
+  val x : t
+  val is_zero : t -> bool
+  val equal : t -> t -> bool
+  val add : t -> t -> t
+  val sub : t -> t -> t
+  val mul : t -> t -> t
+  val shift : int -> t -> t
+
+  val one_plus_z_pow : int -> t
+  (** [(1 + z)^k], memoized *)
+end
+
+(* Size polynomials on unboxed native ints: dense, lowest degree first,
+   no trailing zero.  No overflow check — exact only under the bound
+   argued where [evaluate] picks the ring. *)
+module Native = struct
+  type t = int array
+
+  let zero = [||]
+  let one = [| 1 |]
+  let x = [| 0; 1 |]
+  let is_zero p = Array.length p = 0
+
+  let equal (p : t) (q : t) =
+    let n = Array.length p in
+    let rec go i = i = n || (p.(i) = q.(i) && go (i + 1)) in
+    n = Array.length q && go 0
+
+  let norm p =
+    let n = ref (Array.length p) in
+    while !n > 0 && p.(!n - 1) = 0 do decr n done;
+    if !n = Array.length p then p else Array.sub p 0 !n
+
+  let add p q =
+    let lp = Array.length p and lq = Array.length q in
+    if lp = 0 then q
+    else if lq = 0 then p
+    else begin
+      let long, short = if lp >= lq then (p, q) else (q, p) in
+      let r = Array.copy long in
+      for i = 0 to Array.length short - 1 do r.(i) <- r.(i) + short.(i) done;
+      if lp = lq then norm r else r
+    end
+
+  let sub p q =
+    let lp = Array.length p and lq = Array.length q in
+    if lq = 0 then p
+    else begin
+      let r = Array.make (max lp lq) 0 in
+      Array.blit p 0 r 0 lp;
+      for i = 0 to lq - 1 do r.(i) <- r.(i) - q.(i) done;
+      norm r
+    end
+
+  let mul p q =
+    let lp = Array.length p and lq = Array.length q in
+    if lp = 0 || lq = 0 then zero
+    else begin
+      let r = Array.make (lp + lq - 1) 0 in
+      for i = 0 to lp - 1 do
+        let pi = p.(i) in
+        if pi <> 0 then
+          for j = 0 to lq - 1 do
+            r.(i + j) <- r.(i + j) + (pi * q.(j))
+          done
+      done;
+      norm r
+    end
+
+  let shift k p = if is_zero p then zero else Array.append (Array.make k 0) p
+
+  (* domain-local, like [Compile.one_plus_z_pow]: evaluation can run in
+     any domain, and every entry is a pure function of its key *)
+  let one_plus_z_table : (int, t) Hashtbl.t Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+  let one_plus_z_pow k =
+    let table = Domain.DLS.get one_plus_z_table in
+    match Hashtbl.find_opt table k with
+    | Some p -> p
+    | None ->
+      let p = Array.map Bigint.to_int (Bigint.binomial_row k) in
+      Hashtbl.add table k p;
+      p
+
+  let to_z p = Poly.Z.of_coeffs (Array.to_list (Array.map Bigint.of_int p))
+end
+
+(* Smoothing gadgets [μ ∨ ¬μ] are structural (so {!Check} can verify
+   smoothness) but algebraically they are just the factor (1 + z): a
+   ∧-node with k gadget children multiplies by the {e memoized}
+   [(1+z)^k] in one op instead of k full convolutions.  A gadget is any
+   ∨ of the two opposite literals of one variable — whether [smooth_to]
+   made it or a trivial decision collapsed into the same shape. *)
+let is_gadget c id =
+  match c.nodes.(id) with
+  | NOr [| a; b |] ->
+    (match (c.nodes.(a), c.nodes.(b)) with
+     | NLit (v, sa), NLit (w, sb) -> Fact.equal v w && sa <> sb
+     | _ -> false)
+  | _ -> false
+
+(* The ring-independent shape of the top-down sweep, indexed by node id
+   (rank -1 off gadgets) and by gadget rank. *)
+type layout = {
+  gadget : bool array;
+  gadget_rank : int array;
+  rank_pos_lit : int array;
+}
+
+(* Gadget fan-out batching.  A smoothed ∧ adds the same base gradient to
+   each of its k gadget children; doing that as k polynomial adds makes
+   the sweep cubic in |vars| on decision chains (every level smooths a
+   near-complete suffix of the variable order).  The sets of gadgets
+   smoothed over at successive decisions are nested — each is the
+   previous minus the newly decided variable — so ranking gadgets by how
+   deep their variable is decided (deeper decision ⇒ higher rank) turns
+   each ∧'s gadget set into one (or few) contiguous rank intervals.
+   Each interval costs O(1) polynomial ops: the base enters a running
+   sum at the interval's high rank and leaves below its low rank, and a
+   final descending rank sweep deposits the accumulated gradient of
+   every gadget directly into its positive literal. *)
+let layout c =
   let gadget = Array.make c.len false in
-  for id = 0 to c.len - 1 do
-    match c.nodes.(id) with
-    | NOr [| a; b |] ->
-      (match (c.nodes.(a), c.nodes.(b)) with
-       | NLit (v, sa), NLit (w, sb) when Fact.equal v w && sa <> sb ->
-         gadget.(id) <- true
-       | _ -> ())
-    | _ -> ()
-  done;
-  let n = List.length universe in
-  let nv = Fact.Set.cardinal cvars in
-  let p = Array.make c.len Poly.Z.zero in
-  Telemetry.span tel "circuit.bottom_up" (fun () ->
-      for id = 0 to c.len - 1 do
-        p.(id) <-
-          (match c.nodes.(id) with
-           | NTrue -> Poly.Z.one
-           | NFalse -> Poly.Z.zero
-           | NLit (_, true) -> Poly.Z.x
-           | NLit (_, false) -> Poly.Z.one
-           | NAnd ch ->
-             let k = ref 0 in
-             let prod = ref Poly.Z.one in
-             Array.iter
-               (fun i -> if gadget.(i) then incr k else prod := mul !prod p.(i))
-               ch;
-             if !k = 0 then !prod else mul !prod (Compile.one_plus_z_pow !k)
-           | NOr ch ->
-             if gadget.(id) then Compile.one_plus_z_pow 1
-             else Array.fold_left (fun acc i -> add acc p.(i)) Poly.Z.zero ch)
-      done);
-  let g = Array.make c.len Poly.Z.zero in
-  g.(c.root) <- Poly.Z.one;
-  (* Only positive literals are ever read out of g (by_fact), so gradient
-     flowing into ¬μ leaves or constants is pure waste — and in a decision
-     chain the ¬μ gradient is a full convolution with the sibling branch
-     at every level.  Dead leaves are pruned from the flow entirely. *)
-  let wants_g i =
-    match c.nodes.(i) with
-    | NLit (_, false) | NTrue | NFalse -> false
-    | NLit (_, true) | NAnd _ | NOr _ -> true
+  Array.iter (fun id -> if is_gadget c id then gadget.(id) <- true) c.live;
+  let gadget_ids =
+    Array.of_list (List.filter (fun id -> gadget.(id)) (Array.to_list c.live))
   in
-  (* Gadget fan-out batching.  A smoothed ∧ adds the same base gradient
-     to each of its k gadget children; doing that as k polynomial adds
-     makes the sweep cubic in |vars| on decision chains (every level
-     smooths a near-complete suffix of the variable order).  The sets of
-     gadgets smoothed over at successive decisions are nested — each is
-     the previous minus the newly decided variable — so ranking gadgets
-     by how deep their variable is decided (deeper decision ⇒ higher
-     rank) turns each ∧'s gadget set into one (or few) contiguous rank
-     intervals.  Each interval costs O(1) polynomial ops: the base enters
-     a running sum at the interval's high rank and leaves below its low
-     rank, and a final descending rank sweep deposits the accumulated
-     gradient of every gadget directly into its positive literal. *)
-  let gadget_ids = ref [] in
-  for id = c.len - 1 downto 0 do
-    if gadget.(id) then gadget_ids := id :: !gadget_ids
-  done;
-  let gadget_ids = Array.of_list !gadget_ids in
   let nranks = Array.length gadget_ids in
   let gadget_rank = Array.make c.len (-1) in
   let rank_pos_lit = Array.make nranks (-1) in
@@ -509,18 +558,19 @@ let evaluate ?(tel = Telemetry.disabled ()) c ~universe =
        literals appears undisguised (not as part of a gadget); ids grow
        upward, so a larger id means a shallower decision *)
     let decision_id : (Fact.t, int) Hashtbl.t = Hashtbl.create 64 in
-    for id = 0 to c.len - 1 do
-      match c.nodes.(id) with
-      | NAnd ch ->
-        Array.iter
-          (fun i ->
-             if not gadget.(i) then
-               match c.nodes.(i) with
-               | NLit (v, _) -> Hashtbl.replace decision_id v id
-               | _ -> ())
-          ch
-      | _ -> ()
-    done;
+    Array.iter
+      (fun id ->
+         match c.nodes.(id) with
+         | NAnd ch ->
+           Array.iter
+             (fun i ->
+                if not gadget.(i) then
+                  match c.nodes.(i) with
+                  | NLit (v, _) -> Hashtbl.replace decision_id v id
+                  | _ -> ())
+             ch
+         | _ -> ())
+      c.live;
     let var_of gid =
       match c.nodes.(gid) with
       | NOr [| a; _ |] ->
@@ -547,106 +597,239 @@ let evaluate ?(tel = Telemetry.disabled ()) c ~universe =
             | _ -> assert false))
       gadget_ids
   end;
-  let on_enter = Array.make (max nranks 1) [] in
-  let on_exit = Array.make (max nranks 1) [] in
-  let fan_out_to_gadgets ch base =
-    (* the gadget children's ranks, split into maximal consecutive runs *)
-    let ranks =
-      Array.of_list
-        (List.filter_map
-           (fun i -> if gadget.(i) then Some gadget_rank.(i) else None)
-           (Array.to_list ch))
+  { gadget; gadget_rank; rank_pos_lit }
+
+(* Only positive literals are ever read out of g (by_fact), so gradient
+   flowing into ¬μ leaves or constants is pure waste — and in a decision
+   chain the ¬μ gradient is a full convolution with the sibling branch at
+   every level.  Dead leaves are pruned from the flow entirely. *)
+let wants_g c i =
+  match c.nodes.(i) with
+  | NLit (_, false) | NTrue | NFalse -> false
+  | NLit (_, true) | NAnd _ | NOr _ -> true
+
+(* One bottom-up pass (per-node size polynomials p) and one top-down pass
+   (per-node gradients g = ∂p_root/∂p_node, chain rule over the DAG in
+   reverse id order), both over the live ids only.  By smoothness +
+   decomposability + determinism the root polynomial is multilinear in
+   the leaf weights w(μ)=z, w(¬μ)=1, so g at the positive literal of μ is
+   Σ_{S ∌ μ, S∪{μ} ⊨ φ} z^|S| — exactly C(φ[μ:=1]) over the circuit
+   variables minus μ.  [n] is the number of universe facts. *)
+module Sweep (R : RING) = struct
+  let run tel c ~universe ~n =
+    let lay = layout c in
+    let gadget = lay.gadget and live = c.live in
+    let cvars = vars c in
+    let ops = ref 0 in
+    (* The ring ops, with the identities that dominate the circuit
+       (neutral elements from ¬μ leaves, z from μ leaves) short-circuited:
+       a smoothed decision wrapper is [μ ∧ hi], and paying a full
+       convolution to multiply by 1 or z would drown the traversal in
+       coefficient work. *)
+    let mul a b =
+      if R.equal a R.one then b
+      else if R.equal b R.one then a
+      else if R.equal a R.x then (incr ops; R.shift 1 b)
+      else if R.equal b R.x then (incr ops; R.shift 1 a)
+      else (incr ops; R.mul a b)
     in
-    Array.sort compare ranks;
-    let nr = Array.length ranks in
-    let lo = ref 0 in
-    for i = 0 to nr - 1 do
-      if i = nr - 1 || ranks.(i + 1) <> ranks.(i) + 1 then begin
-        on_enter.(ranks.(i)) <- base :: on_enter.(ranks.(i));
-        on_exit.(ranks.(!lo)) <- base :: on_exit.(ranks.(!lo));
-        lo := i + 1
-      end
-    done
-  in
-  Telemetry.span tel "circuit.top_down" (fun () ->
-  for id = c.len - 1 downto 0 do
-    if not (Poly.Z.is_zero g.(id)) then begin
-      match c.nodes.(id) with
-      | NOr ch ->
-        Array.iter (fun i -> if wants_g i then g.(i) <- add g.(i) g.(id)) ch
-      | NAnd ch ->
-        (* g flows to child i scaled by the product of the siblings'
-           polynomials; prefix/suffix products over the non-gadget
-           children (k gadget siblings contribute the shared factor
-           (1+z)^k, or (1+z)^(k-1) when i is itself a gadget) keep this
-           linear in the fanout *)
-        let real = Array.of_list (List.filter (fun i -> not gadget.(i)) (Array.to_list ch)) in
-        let k = Array.length ch - Array.length real in
-        let m = Array.length real in
-        let pre = Array.make (m + 1) Poly.Z.one in
-        for i = 0 to m - 1 do
-          pre.(i + 1) <- mul pre.(i) p.(real.(i))
-        done;
-        let pad = if k = 0 then Poly.Z.one else Compile.one_plus_z_pow k in
-        let g_pad = mul g.(id) pad in
-        let suf = ref Poly.Z.one in
-        for i = m - 1 downto 0 do
-          if wants_g real.(i) then
-            g.(real.(i)) <- add g.(real.(i)) (mul g_pad (mul pre.(i) !suf));
-          suf := mul !suf p.(real.(i))
-        done;
-        if k > 0 then
-          (* every gadget child of this ∧ receives the same gradient:
-             g · (product of real children) · (1+z)^(k-1) *)
-          fan_out_to_gadgets ch
-            (mul g.(id)
-               (mul pre.(m)
-                  (if k = 1 then Poly.Z.one
-                   else Compile.one_plus_z_pow (k - 1))))
-      | _ -> ()
-    end
-  done;
-  (* resolve the batched fan-outs: sweep ranks from deepest decision to
-     shallowest, maintaining the running interval sum, and deposit each
-     gadget's accumulated gradient straight into its positive literal
-     (the gadget node itself forwards nothing else downward) *)
-  let running = ref Poly.Z.zero in
-  for r = nranks - 1 downto 0 do
-    List.iter (fun b -> running := add !running b) on_enter.(r);
-    if not (Poly.Z.is_zero !running) then begin
-      let lit = rank_pos_lit.(r) in
-      g.(lit) <- add g.(lit) !running
-    end;
-    List.iter
-      (fun b ->
-         incr ops;
-         running := Poly.Z.sub !running b)
-      on_exit.(r)
-  done);
-  let pad k poly = if k = 0 then poly else mul poly (Compile.one_plus_z_pow k) in
-  let full = pad (n - nv) p.(c.root) in
-  let by_fact =
-    Array.of_list
-      (List.map
-         (fun f ->
-            if Fact.Set.mem f cvars then
-              (* g counts over cvars∖{f}; pad the (n-1) - (nv-1) facts of
-                 the universe the circuit never mentions *)
-              let base =
-                (* the shared hash-cons table of a session can hold
-                   literals allocated by *later* compiles; only ids
-                   below this circuit's frozen length belong to it *)
-                match Unique.find_opt c.unique (NLit (f, true)) with
-                | Some id when id < c.len -> g.(id)
-                | Some _ | None -> Poly.Z.zero
+    let add a b =
+      if R.is_zero a then b
+      else if R.is_zero b then a
+      else (incr ops; R.add a b)
+    in
+    let nv = Fact.Set.cardinal cvars in
+    let p = Array.make c.len R.zero in
+    Telemetry.span tel "circuit.bottom_up" (fun () ->
+        Array.iter
+          (fun id ->
+             p.(id) <-
+               (match c.nodes.(id) with
+                | NTrue -> R.one
+                | NFalse -> R.zero
+                | NLit (_, true) -> R.x
+                | NLit (_, false) -> R.one
+                | NAnd ch ->
+                  let k = ref 0 in
+                  let prod = ref R.one in
+                  Array.iter
+                    (fun i ->
+                       if gadget.(i) then incr k else prod := mul !prod p.(i))
+                    ch;
+                  if !k = 0 then !prod else mul !prod (R.one_plus_z_pow !k)
+                | NOr ch ->
+                  if gadget.(id) then R.one_plus_z_pow 1
+                  else Array.fold_left (fun acc i -> add acc p.(i)) R.zero ch))
+          live);
+    let g = Array.make c.len R.zero in
+    g.(c.root) <- R.one;
+    let nranks = Array.length lay.rank_pos_lit in
+    let on_enter = Array.make (max nranks 1) [] in
+    let on_exit = Array.make (max nranks 1) [] in
+    let fan_out_to_gadgets ch base =
+      (* the gadget children's ranks, split into maximal consecutive runs *)
+      let ranks =
+        Array.of_list
+          (List.filter_map
+             (fun i -> if gadget.(i) then Some lay.gadget_rank.(i) else None)
+             (Array.to_list ch))
+      in
+      Array.sort compare ranks;
+      let nr = Array.length ranks in
+      let lo = ref 0 in
+      for i = 0 to nr - 1 do
+        if i = nr - 1 || ranks.(i + 1) <> ranks.(i) + 1 then begin
+          on_enter.(ranks.(i)) <- base :: on_enter.(ranks.(i));
+          on_exit.(ranks.(!lo)) <- base :: on_exit.(ranks.(!lo));
+          lo := i + 1
+        end
+      done
+    in
+    Telemetry.span tel "circuit.top_down" (fun () ->
+        for j = Array.length live - 1 downto 0 do
+          let id = live.(j) in
+          if not (R.is_zero g.(id)) then begin
+            match c.nodes.(id) with
+            | NOr ch ->
+              Array.iter
+                (fun i -> if wants_g c i then g.(i) <- add g.(i) g.(id))
+                ch
+            | NAnd ch ->
+              (* g flows to child i scaled by the product of the siblings'
+                 polynomials; prefix/suffix products over the non-gadget
+                 children (k gadget siblings contribute the shared factor
+                 (1+z)^k, or (1+z)^(k-1) when i is itself a gadget) keep
+                 this linear in the fanout *)
+              let real =
+                Array.of_list
+                  (List.filter (fun i -> not gadget.(i)) (Array.to_list ch))
               in
-              (f, pad (n - nv) base)
-            else
-              (* null player: φ[f:=1] = φ, over a universe of n-1 facts *)
-              (f, pad (n - 1 - nv) p.(c.root)))
-         universe)
-  in
-  { full; by_fact; poly_ops = !ops }
+              let k = Array.length ch - Array.length real in
+              let m = Array.length real in
+              let pre = Array.make (m + 1) R.one in
+              for i = 0 to m - 1 do
+                pre.(i + 1) <- mul pre.(i) p.(real.(i))
+              done;
+              let pad = if k = 0 then R.one else R.one_plus_z_pow k in
+              let g_pad = mul g.(id) pad in
+              let suf = ref R.one in
+              for i = m - 1 downto 0 do
+                if wants_g c real.(i) then
+                  g.(real.(i)) <-
+                    add g.(real.(i)) (mul g_pad (mul pre.(i) !suf));
+                suf := mul !suf p.(real.(i))
+              done;
+              if k > 0 then
+                (* every gadget child of this ∧ receives the same gradient:
+                   g · (product of real children) · (1+z)^(k-1) *)
+                fan_out_to_gadgets ch
+                  (mul g.(id)
+                     (mul pre.(m)
+                        (if k = 1 then R.one else R.one_plus_z_pow (k - 1))))
+            | _ -> ()
+          end
+        done;
+        (* resolve the batched fan-outs: sweep ranks from deepest decision
+           to shallowest, maintaining the running interval sum, and
+           deposit each gadget's accumulated gradient straight into its
+           positive literal (the gadget node itself forwards nothing else
+           downward) *)
+        let running = ref R.zero in
+        for r = nranks - 1 downto 0 do
+          List.iter (fun b -> running := add !running b) on_enter.(r);
+          if not (R.is_zero !running) then begin
+            let lit = lay.rank_pos_lit.(r) in
+            g.(lit) <- add g.(lit) !running
+          end;
+          List.iter
+            (fun b ->
+               incr ops;
+               running := R.sub !running b)
+            on_exit.(r)
+        done);
+    let pad k poly = if k = 0 then poly else mul poly (R.one_plus_z_pow k) in
+    let full = pad (n - nv) p.(c.root) in
+    let by_fact =
+      Array.of_list
+        (List.map
+           (fun f ->
+              if Fact.Set.mem f cvars then
+                (* g counts over cvars∖{f}; pad the (n-1) - (nv-1) facts of
+                   the universe the circuit never mentions *)
+                let base =
+                  (* the shared hash-cons table of a session can hold
+                     literals allocated by *later* compiles; only ids
+                     below this circuit's frozen length belong to it *)
+                  match Unique.find_opt c.unique (NLit (f, true)) with
+                  | Some id when id < c.len -> g.(id)
+                  | Some _ | None -> R.zero
+                in
+                (f, pad (n - nv) base)
+              else
+                (* null player: φ[f:=1] = φ, over a universe of n-1 facts *)
+                (f, pad (n - 1 - nv) p.(c.root)))
+           universe)
+    in
+    (full, by_fact, !ops)
+end
+
+module Z_sweep = Sweep (struct
+    include Poly.Z
+
+    let one_plus_z_pow = Compile.one_plus_z_pow
+  end)
+
+module Native_sweep = Sweep (Native)
+
+(* The number of distinct universe facts, after the checks [evaluate]
+   documents. *)
+let universe_size c universe =
+  let u = Fact.Set.of_list universe in
+  if not (Fact.Set.subset (vars c) u) then
+    invalid_arg "Circuit.evaluate: circuit mentions a fact outside the universe";
+  let n = Fact.Set.cardinal u in
+  if n <> List.length universe then
+    invalid_arg "Circuit.evaluate: the universe repeats a fact";
+  n
+
+let evaluate_poly_z tel c ~universe ~n =
+  let full, by_fact, poly_ops = Z_sweep.run tel c ~universe ~n in
+  { full; by_fact; poly_ops }
+
+let evaluate ?(tel = Telemetry.disabled ()) c ~universe =
+  let n = universe_size c universe in
+  (* The ring choice.  With n ≤ Sys.int_size − 2 distinct facts (61 on
+     64-bit) every coefficient the sweeps form fits a native int, so they
+     run on [Native] with no overflow check:
+     - the circuit is decomposable, deterministic and smooth, and every
+       node but ⊥ is satisfiable, so every node polynomial, prefix/suffix
+       or partial ∧ product, partial ∨ sum and padding power counts
+       assignments over a subset of the universe;
+     - p_root is linear in each node's value with a non-negative
+       remainder (decomposability: a node with variables lies under at
+       most one child of any ∧), so g·p ≤ p_root coefficient-wise; as
+       p ≠ 0 has a coefficient ≥ 1, every coefficient of g, of a scaled
+       gradient g·(1+z)^k·(siblings) and of a gadget base is bounded by
+       one of p_root;
+     - the gadget running sum is always a sub-sum of one gadget's
+       gradient, and the final padding is a count over the universe;
+     - a count over at most n facts is at most 2^n ≤ 2^(Sys.int_size − 2)
+       < max_int, and so is every term and partial sum of the
+       convolution that forms it.
+     Larger universes keep [Poly.Z]. *)
+  if n <= Sys.int_size - 2 then
+    let full, by_fact, poly_ops = Native_sweep.run tel c ~universe ~n in
+    {
+      full = Native.to_z full;
+      by_fact = Array.map (fun (f, p) -> (f, Native.to_z p)) by_fact;
+      poly_ops;
+    }
+  else evaluate_poly_z tel c ~universe ~n
+
+module For_tests = struct
+  let evaluate_poly_z ?(tel = Telemetry.disabled ()) c ~universe =
+    evaluate_poly_z tel c ~universe ~n:(universe_size c universe)
+end
 
 module Check = struct
   type report = {

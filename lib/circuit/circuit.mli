@@ -151,10 +151,23 @@ type evaluation = {
 
 val evaluate : ?tel:Telemetry.t -> t -> universe:Fact.t list -> evaluation
 (** One bottom-up + one top-down traversal; every fact's polynomial from
-    a single compilation, no per-fact conditioning.  The two sweeps run
-    in [circuit.bottom_up] and [circuit.top_down] spans on [tel].
+    a single compilation, no per-fact conditioning.  Both sweeps visit
+    only the nodes reachable from this circuit's root, so the cost is
+    linear in the live circuit, not in a session arena that earlier
+    compiles have grown.  They run in [circuit.bottom_up] and
+    [circuit.top_down] spans on [tel].
+
+    The ring follows the universe size [n]: with [n ≤ Sys.int_size − 2]
+    (61 on 64-bit) the sweeps run on unboxed native-int polynomials and
+    only the returned ones become {!Poly.Z.t}; larger universes compute
+    in {!Poly.Z} throughout.  The native ring is exact with no overflow
+    check: the circuit is decomposable, deterministic and smooth, so
+    every polynomial the sweeps form has non-negative coefficients that
+    count assignments over a subset of the universe, each at most
+    [2^n < max_int].  Both rings return the same result, [poly_ops]
+    included.
     @raise Invalid_argument if the circuit mentions a fact outside the
-    universe. *)
+    universe, or if the universe lists a fact twice. *)
 
 (** Independent invariant verifier, in the style of {!Certcheck}: it
     recomputes every variable set from the raw node structure and checks
@@ -180,4 +193,14 @@ module Check : sig
       [2^|vars|] evaluations, so circuits over more than [max_vars]
       (default [16]) variables are an [Error] rather than silently
       unverified. *)
+end
+
+(** {2 Test hooks} *)
+
+module For_tests : sig
+  val evaluate_poly_z :
+    ?tel:Telemetry.t -> t -> universe:Fact.t list -> evaluation
+  (** {!evaluate} with the sweeps forced onto {!Poly.Z} whatever the
+      universe size — the reference the differential suite pins the
+      native ring against.  Nothing in the library uses it. *)
 end

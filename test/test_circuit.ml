@@ -293,6 +293,101 @@ let test_check_max_vars_guard () =
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg
 
+(* a universe that lists a fact twice would pad over its length, not
+   over its facts: refused, on both rings *)
+let test_repeated_universe_fact () =
+  let a = fact "R" [ "a" ] in
+  let c = Circuit.compile (Bform.Fv a) in
+  let refused = Invalid_argument "Circuit.evaluate: the universe repeats a fact" in
+  Alcotest.check_raises "native ring" refused (fun () ->
+      ignore (Circuit.evaluate c ~universe:[ a; a ]));
+  Alcotest.check_raises "Poly.Z ring" refused (fun () ->
+      ignore (Circuit.For_tests.evaluate_poly_z c ~universe:[ a; a ]));
+  check_zpoly "a listed once" Poly.Z.x (Circuit.evaluate c ~universe:[ a ]).Circuit.full
+
+let same_evaluation (a : Circuit.evaluation) (b : Circuit.evaluation) =
+  Poly.Z.equal a.Circuit.full b.Circuit.full
+  && Array.length a.Circuit.by_fact = Array.length b.Circuit.by_fact
+  && Array.for_all2
+       (fun (f1, p1) (f2, p2) -> Fact.equal f1 f2 && Poly.Z.equal p1 p2)
+       a.Circuit.by_fact b.Circuit.by_fact
+  && a.Circuit.poly_ops = b.Circuit.poly_ops
+
+(* a session arena keeps every earlier compile's nodes; recompiling φ₁
+   after φ₂ must cost exactly what the first φ₁ did, because the sweeps
+   only visit what the root reaches *)
+let test_session_skips_dead_nodes () =
+  let instance seed =
+    let case = Workload.generate ~family:"bipartite" ~seed ~size:4 in
+    (Lineage.lineage case.Workload.query case.Workload.db,
+     Database.endo_list case.Workload.db)
+  in
+  let phi1, universe = instance 23 in
+  let phi2, _ = instance 11 in
+  let session = Circuit.Session.create () in
+  let first = Circuit.compile ~session phi1 in
+  let second = Circuit.compile ~session phi2 in
+  let third = Circuit.compile ~session phi1 in
+  Alcotest.(check bool) "φ₂ is a real detour" true
+    (Circuit.node_count second > Circuit.node_count first / 2);
+  Alcotest.(check int) "same live circuit" (Circuit.node_count first)
+    (Circuit.node_count third);
+  let e1 = Circuit.evaluate first ~universe in
+  let e3 = Circuit.evaluate third ~universe in
+  Alcotest.(check int) "same poly_ops" e1.Circuit.poly_ops e3.Circuit.poly_ops;
+  Alcotest.(check bool) "same polynomials" true (same_evaluation e1 e3)
+
+let both_rings_agree c ~universe =
+  same_evaluation
+    (Circuit.evaluate c ~universe)
+    (Circuit.For_tests.evaluate_poly_z c ~universe)
+
+(* one random insert or delete of an endogenous fact over the default
+   schema *)
+let random_edit r db =
+  match Database.endo_list db with
+  | endo when endo <> [] && Workload.int r 2 = 0 ->
+    Database.remove (Workload.pick r endo) db
+  | _ ->
+    let rel, arity = Workload.pick r Gen.default_rels in
+    let f = fact rel (List.init arity (fun _ -> Workload.pick r Gen.default_consts)) in
+    if Database.mem f db then db else Database.add_endo f db
+
+(* the native-int ring and Poly.Z return the same evaluation, poly_ops
+   included: on fresh circuits, and along a session chain of edits whose
+   arena accumulates dead nodes *)
+let prop_native_ring_vs_poly_z =
+  qcheck ~count:300 "native ring = Poly.Z ring" Gen.seed_gen (fun seed ->
+      let q, db = Gen.random_case seed in
+      let r = Workload.rng (seed + 1) in
+      let session = Circuit.Session.create () in
+      let rec chain db steps =
+        let phi = Lineage.lineage q db in
+        let universe = Database.endo_list db in
+        both_rings_agree (Circuit.compile phi) ~universe
+        && both_rings_agree (Circuit.compile ~session phi) ~universe
+        && (steps = 0 || chain (random_edit r db) (steps - 1))
+      in
+      chain db 4)
+
+(* R(?x) over n endogenous facts: C(φ) = (1+z)^n − 1 and every fact's
+   C(φ[μ:=1]) = (1+z)^(n−1), whose middle coefficients reach C(61,30) ≈
+   2.3·10¹⁷; 61 facts is the largest universe on the native ring, 62 the
+   smallest on Poly.Z *)
+let test_ring_boundary n () =
+  let db =
+    Database.make ~endo:(List.init n (fun i -> fact "R" [ string_of_int i ])) ~exo:[]
+  in
+  let c = Circuit.compile (Lineage.lineage (Query_parse.parse "R(?x)") db) in
+  let universe = Database.endo_list db in
+  let row k = Array.to_list (Bigint.binomial_row k) in
+  let ev = Circuit.evaluate c ~universe in
+  check_zpoly "full" (Poly.Z.of_coeffs (Bigint.zero :: List.tl (row n))) ev.Circuit.full;
+  let with_mu = Poly.Z.of_coeffs (row (n - 1)) in
+  Alcotest.(check int) "one entry per fact" n (Array.length ev.Circuit.by_fact);
+  Array.iter (fun (_, p) -> check_zpoly "by_fact" with_mu p) ev.Circuit.by_fact;
+  Alcotest.(check bool) "same as Poly.Z" true (both_rings_agree c ~universe)
+
 let suite =
   [
     prop_circuit_vs_conditioning_vs_naive;
@@ -314,4 +409,13 @@ let suite =
     Alcotest.test_case "constant lineages" `Quick test_constant_lineages;
     Alcotest.test_case "workload backend" `Quick test_workload_backend;
     Alcotest.test_case "Check max_vars guard" `Quick test_check_max_vars_guard;
+    Alcotest.test_case "evaluate rejects a repeated universe fact" `Quick
+      test_repeated_universe_fact;
+    Alcotest.test_case "session circuit skips unreachable nodes" `Quick
+      test_session_skips_dead_nodes;
+    prop_native_ring_vs_poly_z;
+    Alcotest.test_case "ring boundary: 61 facts (native)" `Quick
+      (test_ring_boundary 61);
+    Alcotest.test_case "ring boundary: 62 facts (Poly.Z)" `Quick
+      (test_ring_boundary 62);
   ]
