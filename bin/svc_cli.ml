@@ -269,9 +269,10 @@ let plan_cmd =
     match format with
     | `Json ->
       Printf.printf
-        "{\"query\":%S,\"n_facts\":%d,\"plan\":%s,\"certificate\":%S,\
-         \"recommended_backend\":%S}\n"
-        (Query.to_string q) n_facts (Plan.to_json pl) cert backend
+        "{\"query\":%s,\"n_facts\":%d,\"plan\":%s,\"certificate\":%s,\
+         \"recommended_backend\":%s}\n"
+        (Tracejson.quote (Query.to_string q)) n_facts (Plan.to_json pl)
+        (Tracejson.quote cert) (Tracejson.quote backend)
     | `Text ->
       Printf.printf "query   : %s\n" (Query.to_string q);
       Printf.printf "lineage : %d nodes over %d fact variables\n"
@@ -394,7 +395,7 @@ let banzhaf_cmd =
     let values =
       List.sort
         (fun (_, a) (_, b) -> Rational.compare b a)
-        (List.map (fun f -> (f, Svc.banzhaf q db f)) (Database.endo_list db))
+        (Engine.banzhaf_all (Svc.engine q db))
     in
     List.iter
       (fun (f, v) ->
@@ -402,7 +403,10 @@ let banzhaf_cmd =
            (Rational.to_float v))
       values
   in
-  let doc = "Banzhaf value of every endogenous fact (via two GMC counts each)." in
+  let doc =
+    "Banzhaf value of every endogenous fact (one lineage compilation, \
+     through the batched engine)."
+  in
   Cmd.v (Cmd.info "banzhaf" ~doc) Term.(const run $ db_arg $ query_arg 1)
 
 (* ---------------- lineage ---------------- *)
@@ -445,10 +449,11 @@ let explain_cmd =
          (fun s -> Printf.printf "  %s\n" (Format.asprintf "%a" Fact.Set.pp s))
          supports;
        Printf.printf "\nfact contributions (Shapley | Banzhaf):\n";
-       let shapley = Svc.svc_all q db in
+       let e = Svc.engine q db in
+       let shapley = Engine.svc_all e in
        List.iter
          (fun (f, sv) ->
-            let bz = Svc.banzhaf q db f in
+            let bz = Engine.banzhaf e f in
             Printf.printf "  %-28s %-10s | %s\n" (Fact.to_string f)
               (Rational.to_string sv) (Rational.to_string bz))
          (List.sort (fun (_, a) (_, b) -> Rational.compare b a) shapley);

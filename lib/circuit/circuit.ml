@@ -7,7 +7,10 @@
    result).  Every ∨ is either a decision node [(μ ∧ hi) ∨ (¬μ ∧ lo)] or
    a smoothing gadget [μ ∨ ¬μ], so determinism is structural; smoothing
    gadgets are inserted at construction time so both children of every
-   decision mention exactly the decided formula's variables.
+   decision mention exactly the decided formula's variables.  The root
+   gets no split of its own: [build] splits it like every other
+   conjunction, and [Compile.conjunct_components] yields exactly the
+   plan's AND-components, so a plan steers only the branching order.
 
    Nodes live in one arena; a child id is always smaller than its
    parent's (construction is bottom-up), so ascending id order is a
@@ -246,49 +249,6 @@ and shannon c rank cache phi =
       [ mk_and ~vs:all c [ mk_lit c v true; hi ];
         mk_and ~vs:all c [ mk_lit c v false; lo ] ]
 
-(* Split a conjunctive root along the plan's claimed AND-components and
-   compile each separately.  The plan is advisory: if any conjunct
-   straddles two claimed components (or mentions a variable the plan
-   does not know), the split is abandoned and the root compiles through
-   the ordinary [build] path — decomposability is enforced by [mk_and]'s
-   construction either way, never assumed from the certificate. *)
-let build_root c rank plan cache phi =
-  match (plan, phi) with
-  | Some pl, Bform.And parts when Plan.component_count pl > 1 ->
-    let idx = Plan.component_index pl in
-    let buckets = Array.make (Plan.component_count pl) [] in
-    let consts = ref [] in
-    let stray = ref false in
-    List.iter
-      (fun p ->
-         if not !stray then begin
-           let vs = Bform.vars p in
-           if Fact.Set.is_empty vs then consts := p :: !consts
-           else
-             match Hashtbl.find_opt idx (Fact.Set.min_elt vs) with
-             | Some i
-               when Fact.Set.for_all
-                      (fun f -> Hashtbl.find_opt idx f = Some i)
-                      vs ->
-               buckets.(i) <- p :: buckets.(i)
-             | _ -> stray := true
-         end)
-      parts;
-    if !stray then build c rank cache phi
-    else begin
-      let ids = ref [] in
-      Array.iter
-        (fun ps ->
-           match List.rev ps with
-           | [] -> ()
-           | [ p ] -> ids := build c rank cache p :: !ids
-           | ps -> ids := build c rank cache (Bform.And ps) :: !ids)
-        buckets;
-      List.iter (fun p -> ids := build c rank cache p :: !ids) !consts;
-      mk_and c (List.rev !ids)
-    end
-  | _ -> build c rank cache phi
-
 (* Sub-circuits built for components that a later ⊥ collapsed, and
    everything earlier compiles of a session left in the arena, can be
    unreachable from the root; size metrics and the evaluator see only
@@ -379,7 +339,7 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
   Telemetry.span tel "circuit.compile" (fun () ->
       ignore (alloc c NTrue Fact.Set.empty : int); (* id 0 *)
       ignore (alloc c NFalse Fact.Set.empty : int); (* id 1 *)
-      c.root <- build_root c rank plan cache phi);
+      c.root <- build c rank cache phi);
   let live, edges, reused = mark_live c ~base_len in
   let nodes = Array.length live in
   c.live <- live;

@@ -82,16 +82,16 @@ val compile :
     formula→node memo entries (default unbounded; the bound affects
     compile time, never the result).
 
-    [plan] steers the build without being trusted for correctness: the
-    root conjunction is split along the plan's AND-components (each
-    compiled separately and conjoined under one decomposable ∧), and
+    [plan] steers the build without being trusted for correctness:
     Shannon expansion decides variables in the plan's branch order
     (reverse elimination order) instead of the occurrence-count
     heuristic, keeping each decision's cut at the plan's induced width.
-    A plan that does not fit the formula — a conjunct straddling two
-    claimed components, or orders missing variables — only disables the
-    steering for the affected sub-build; the circuit invariants come
-    from construction, never from the plan.
+    Every conjunction, the root included, is split into its
+    variable-disjoint components by {!Compile.conjunct_components}, so
+    the root splits along the same AND-components the plan reports.  A
+    plan whose orders miss variables only ranks those variables last;
+    the circuit invariants come from construction, never from the
+    plan.
 
     [session] compiles into a shared {!Session} arena instead of a fresh
     one: hash-consing then resolves every sub-circuit already built by

@@ -1,18 +1,30 @@
-let one_plus_z_pow k = Poly.Z.of_coeffs (List.init (k + 1) (fun i -> Bigint.binomial k i))
-
-let complement ~n p = Poly.Z.sub (one_plus_z_pow n) p
+(* Lifted FGMC: the rules [Safety] certifies, run on generating
+   polynomials.  The rule conditions are the ones [Safety] uses
+   ([Cq.separator], [Cq.vocabularies_disjoint], [Ucq.independent_groups],
+   [Ucq.inclusion_exclusion]); the separator buckets and the union groups
+   share one complement product, [independent_union]; and (1+z)^k is the
+   memoized [Compile.one_plus_z_pow]. *)
 
 let ( let* ) = Option.bind
 
 let matches atom fact =
   Option.is_some (Homomorphism.find_valuation ~into:(Fact.Set.singleton fact) [ atom ])
 
-let separator_of atoms =
-  let cq = Cq.of_atoms atoms in
-  Term.Sset.choose_opt
-    (Term.Sset.filter
-       (fun x -> List.for_all (fun a -> Term.Sset.mem x (Atom.vars a)) atoms)
-       (Cq.vars cq))
+(* Independent union over parts holding disjoint sets of the [n]
+   endogenous facts: the formula is false iff every part is, so its
+   polynomial is (1+z)^m − Π_i ((1+z)^(n_i) − C_i) over the m facts the
+   parts hold, padded by (1+z)^(n−m) for the facts none of them holds.
+   [parts] lists (sub-query, endo_i, exo_i); [count] gives C_i. *)
+let independent_union ~n count parts =
+  let pow = Compile.one_plus_z_pow in
+  let rec go not_sat m = function
+    | [] -> Some (Poly.Z.mul (Poly.Z.sub (pow m) not_sat) (pow (n - m)))
+    | (part, endo_i, exo_i) :: rest ->
+      let n_i = Fact.Set.cardinal endo_i in
+      let* p = count part endo_i exo_i in
+      go (Poly.Z.mul not_sat (Poly.Z.sub (pow n_i) p)) (m + n_i) rest
+  in
+  go Poly.Z.one 0 parts
 
 (* the value(s) a fact gives to variable [x] through [its] atom occurrences;
    with self-joins a fact may match several atoms, so collect all candidate
@@ -51,17 +63,20 @@ let rec cq_poly (atoms : Atom.t list) (endo : Fact.Set.t) (exo : Fact.Set.t) :
   let atoms = Cq.atoms (Cq.core (Cq.of_atoms atoms)) in
   let n = Fact.Set.cardinal endo in
   match Incidence.variable_components atoms with
-  | [] -> Some (one_plus_z_pow n)
+  | [] -> Some (Compile.one_plus_z_pow n)
   | [ [ atom ] ] ->
     let matching, free = Fact.Set.partition (matches atom) endo in
     let m = Fact.Set.cardinal matching and k = Fact.Set.cardinal free in
-    if Fact.Set.exists (matches atom) exo then Some (one_plus_z_pow n)
+    if Fact.Set.exists (matches atom) exo then Some (Compile.one_plus_z_pow n)
     else
       Some
-        (Poly.Z.mul (Poly.Z.sub (one_plus_z_pow m) Poly.Z.one) (one_plus_z_pow k))
+        (Poly.Z.mul
+           (Poly.Z.sub (Compile.one_plus_z_pow m) Poly.Z.one)
+           (Compile.one_plus_z_pow k))
   | [ component ] ->
-    (* independent project on a separator *)
-    let* x = separator_of component in
+    (* independent project on a separator: the facts of one value of it
+       form one part of an independent union *)
+    let* x = Cq.separator (Cq.of_atoms component) in
     let bucket f = separator_value x component f in
     (* every fact must have an unambiguous bucket *)
     let buckets_ok =
@@ -76,35 +91,19 @@ let rec cq_poly (atoms : Atom.t list) (endo : Fact.Set.t) (exo : Fact.Set.t) :
              (fun f -> Option.join (bucket f))
              (Fact.Set.elements endo @ Fact.Set.elements exo))
       in
-      let free = Fact.Set.filter (fun f -> bucket f = Some None) endo in
       let substitute c =
         List.map (Atom.apply (Term.Smap.singleton x (Term.const c))) component
       in
-      let total_bucketed = ref 0 in
-      let rec build acc = function
-        | [] -> Some acc
-        | c :: rest ->
-          let endo_c = Fact.Set.filter (fun f -> bucket f = Some (Some c)) endo in
-          let exo_c = Fact.Set.filter (fun f -> bucket f = Some (Some c)) exo in
-          let n_c = Fact.Set.cardinal endo_c in
-          total_bucketed := !total_bucketed + n_c;
-          let* p_c = cq_poly (substitute c) endo_c exo_c in
-          build (Poly.Z.mul acc (complement ~n:n_c p_c)) rest
-      in
-      let* not_sat = build Poly.Z.one values in
-      let p_buckets = Poly.Z.sub (one_plus_z_pow !total_bucketed) not_sat in
-      Some (Poly.Z.mul p_buckets (one_plus_z_pow (Fact.Set.cardinal free)))
+      independent_union ~n cq_poly
+        (List.map
+           (fun c ->
+              let in_c f = bucket f = Some (Some c) in
+              (substitute c, Fact.Set.filter in_c endo, Fact.Set.filter in_c exo))
+           values)
     end
   | components ->
     (* independent join: requires pairwise vocabulary-disjoint components *)
-    let vocabs = List.map (fun c -> Cq.rels (Cq.of_atoms c)) components in
-    let rec pairwise_disjoint = function
-      | [] -> true
-      | v :: rest ->
-        List.for_all (fun v' -> Term.Sset.is_empty (Term.Sset.inter v v')) rest
-        && pairwise_disjoint rest
-    in
-    if not (pairwise_disjoint vocabs) then None
+    if not (Cq.vocabularies_disjoint (List.map Cq.of_atoms components)) then None
     else begin
       let used = ref Fact.Set.empty in
       let rec build acc = function
@@ -118,93 +117,33 @@ let rec cq_poly (atoms : Atom.t list) (endo : Fact.Set.t) (exo : Fact.Set.t) :
           build (Poly.Z.mul acc p) rest
       in
       let* product = build Poly.Z.one components in
-      Some (Poly.Z.mul product (one_plus_z_pow (n - Fact.Set.cardinal !used)))
+      Some (Poly.Z.mul product (Compile.one_plus_z_pow (n - Fact.Set.cardinal !used)))
     end
 
-let conjoin_cqs (cqs : Cq.t list) : Cq.t =
-  let _, atoms =
-    List.fold_left
-      (fun (avoid, acc) c ->
-         let c' = Cq.rename_apart ~avoid c in
-         (Term.Sset.union avoid (Cq.vars c'), acc @ Cq.atoms c'))
-      (Term.Sset.empty, []) cqs
-  in
-  Cq.of_atoms atoms
-
-let rec ucq_poly (disjuncts : Cq.t list) (endo : Fact.Set.t) (exo : Fact.Set.t) :
+let rec ucq_poly (q : Ucq.t) (endo : Fact.Set.t) (exo : Fact.Set.t) :
   Poly.Z.t option =
-  let disjuncts = Ucq.disjuncts (Ucq.reduce (Ucq.of_cqs disjuncts)) in
-  let n = Fact.Set.cardinal endo in
-  match disjuncts with
+  let q = Ucq.reduce q in
+  match Ucq.disjuncts q with
   | [ c ] -> cq_poly (Cq.atoms c) endo exo
   | _ ->
-    (* independent union: group disjuncts by shared relations, fixpoint *)
-    let tagged = List.map (fun c -> (c, Cq.rels c)) disjuncts in
-    let rec group groups = function
-      | [] -> groups
-      | (c, vs) :: rest ->
-        let touching, apart =
-          List.partition
-            (fun (_, vs') -> not (Term.Sset.is_empty (Term.Sset.inter vs vs')))
-            groups
-        in
-        let cs = c :: List.concat_map fst touching in
-        let vars = List.fold_left (fun a (_, v) -> Term.Sset.union a v) vs touching in
-        group ((cs, vars) :: apart) rest
-    in
-    let rec fix gs =
-      let flat = List.concat_map (fun (cs, _) -> List.map (fun c -> (c, Cq.rels c)) cs) gs in
-      let gs' = group [] flat in
-      if List.length gs' = List.length gs then gs else fix gs'
-    in
-    let groups = fix (group [] tagged) in
-    if List.length groups > 1 then begin
-      let used = ref Fact.Set.empty in
-      let total_grouped = ref 0 in
-      let rec build acc = function
-        | [] -> Some acc
-        | (cs, rels) :: rest ->
-          let endo_g = Fact.Set.filter (fun f -> Term.Sset.mem (Fact.rel f) rels) endo in
-          let exo_g = Fact.Set.filter (fun f -> Term.Sset.mem (Fact.rel f) rels) exo in
-          used := Fact.Set.union !used endo_g;
-          let n_g = Fact.Set.cardinal endo_g in
-          total_grouped := !total_grouped + n_g;
-          let* p_g = ucq_poly cs endo_g exo_g in
-          build (Poly.Z.mul acc (complement ~n:n_g p_g)) rest
-      in
-      let* not_sat = build Poly.Z.one groups in
-      let free = n - Fact.Set.cardinal !used in
-      let p_groups = Poly.Z.sub (one_plus_z_pow !total_grouped) not_sat in
-      Some (Poly.Z.mul p_groups (one_plus_z_pow free))
-    end
-    else begin
-      (* inclusion–exclusion over all non-empty subsets of disjuncts *)
-      let arr = Array.of_list disjuncts in
-      let k = Array.length arr in
-      if k > 6 then None
-      else begin
-        let rec build acc mask =
-          if mask = 1 lsl k then Some acc
-          else begin
-            let chosen = ref [] in
-            for i = 0 to k - 1 do
-              if mask land (1 lsl i) <> 0 then chosen := arr.(i) :: !chosen
-            done;
-            let* p = cq_poly (Cq.atoms (conjoin_cqs !chosen)) endo exo in
-            let popcount =
-              let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-              go mask 0
-            in
-            let signed = if popcount mod 2 = 1 then p else Poly.Z.neg p in
-            build (Poly.Z.add acc signed) (mask + 1)
-          end
-        in
-        build Poly.Z.zero 1
-      end
-    end
+    (match Ucq.independent_groups q with
+     | _ :: _ :: _ as groups ->
+       independent_union ~n:(Fact.Set.cardinal endo) ucq_poly
+         (List.map
+            (fun g ->
+               let rels = Ucq.rels g in
+               let in_g f = Term.Sset.mem (Fact.rel f) rels in
+               (g, Fact.Set.filter in_g endo, Fact.Set.filter in_g exo))
+            groups)
+     | _ ->
+       Ucq.inclusion_exclusion
+         (fun ~odd c acc ->
+            let* p = cq_poly (Cq.atoms c) endo exo in
+            Some (Poly.Z.add acc (if odd then p else Poly.Z.neg p)))
+         Poly.Z.zero q)
 
 let cq q db = cq_poly (Cq.atoms q) (Database.endo db) (Database.exo db)
-let ucq q db = ucq_poly (Ucq.disjuncts q) (Database.endo db) (Database.exo db)
+let ucq q db = ucq_poly q (Database.endo db) (Database.exo db)
 
 let fgmc_polynomial q db =
   match ucq q db with

@@ -59,11 +59,7 @@ let rec to_ucq_opt (q : Query.t) : Ucq.t option =
        let cqs =
          List.concat_map
            (fun ca ->
-              List.map
-                (fun cb ->
-                   let cb' = Cq.rename_apart ~avoid:(Cq.vars ca) cb in
-                   Cq.of_atoms (Cq.atoms ca @ Cq.atoms cb'))
-                (Ucq.disjuncts ub))
+              List.map (fun cb -> Cq.conjoin [ ca; cb ]) (Ucq.disjuncts ub))
            (Ucq.disjuncts ua)
        in
        Some (Ucq.of_cqs cqs)

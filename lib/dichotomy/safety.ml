@@ -1,3 +1,10 @@
+(* Safety verdicts by the lifted-inference rules.  Each rule's condition
+   lives once in the query modules and is shared with [Lifted], which
+   runs the same rules on polynomials: [Cq.vocabularies_disjoint]
+   (independent join), [Cq.separator] (independent project),
+   [Ucq.independent_groups] (independent union) and
+   [Ucq.inclusion_exclusion] over [Cq.conjoin]ed disjuncts. *)
+
 type verdict =
   | Safe
   | Unsafe
@@ -38,27 +45,13 @@ let rec cq_verdict (q : Cq.t) : verdict =
     let comps = Cq.variable_components q in
     if List.length comps > 1 then begin
       (* independent join requires pairwise-disjoint vocabularies *)
-      let vocabs = List.map Cq.rels comps in
-      let rec pairwise_disjoint = function
-        | [] -> true
-        | v :: rest ->
-          List.for_all (fun v' -> Term.Sset.is_empty (Term.Sset.inter v v')) rest
-          && pairwise_disjoint rest
-      in
-      if pairwise_disjoint vocabs then
+      if Cq.vocabularies_disjoint comps then
         meet_all independent (List.map cq_verdict comps)
       else Unknown
     end
     else begin
       (* single variable-connected component: look for a separator *)
-      let vars = Cq.vars q in
-      let separators =
-        Term.Sset.filter
-          (fun x ->
-             List.for_all (fun a -> Term.Sset.mem x (Atom.vars a)) atoms)
-          vars
-      in
-      match Term.Sset.choose_opt separators with
+      match Cq.separator q with
       | Some x ->
         let grounded =
           Cq.of_atoms
@@ -79,62 +72,17 @@ let rec cq_verdict (q : Cq.t) : verdict =
 
 let cq q = cq_verdict q
 
-let conjoin_cqs (cqs : Cq.t list) : Cq.t =
-  (* conjunction with variables renamed apart *)
-  let _, atoms =
-    List.fold_left
-      (fun (avoid, acc) c ->
-         let c' = Cq.rename_apart ~avoid c in
-         (Term.Sset.union avoid (Cq.vars c'), acc @ Cq.atoms c'))
-      (Term.Sset.empty, []) cqs
-  in
-  Cq.of_atoms atoms
-
 let rec ucq_verdict (q : Ucq.t) : verdict =
-  let disjuncts = Ucq.disjuncts (Ucq.reduce q) in
-  match disjuncts with
+  let q = Ucq.reduce q in
+  match Ucq.disjuncts q with
   | [ c ] -> cq_verdict c
   | _ ->
-    (* try independent union: group disjuncts by shared relation names *)
-    let tagged = List.map (fun c -> (c, Cq.rels c)) disjuncts in
-    let rec group groups = function
-      | [] -> groups
-      | (c, vs) :: rest ->
-        let touching, apart =
-          List.partition
-            (fun (_, vs') -> not (Term.Sset.is_empty (Term.Sset.inter vs vs')))
-            groups
-        in
-        let cs = c :: List.concat_map fst touching in
-        let vars = List.fold_left (fun a (_, v) -> Term.Sset.union a v) vs touching in
-        group ((cs, vars) :: apart) rest
-    in
-    (* iterate grouping to a fixpoint *)
-    let rec fix gs =
-      let flat = List.concat_map (fun (cs, _) -> List.map (fun c -> (c, Cq.rels c)) cs) gs in
-      let gs' = group [] flat in
-      if List.length gs' = List.length gs then gs else fix gs'
-    in
-    let groups = fix (group [] tagged) in
-    if List.length groups > 1 then
-      meet_all independent
-        (List.map (fun (cs, _) -> ucq_verdict (Ucq.of_cqs cs)) groups)
-    else begin
-      (* inclusion–exclusion over all non-empty subsets of disjuncts *)
-      let arr = Array.of_list disjuncts in
-      let n = Array.length arr in
-      if n > 6 then Unknown
-      else begin
-        let verdicts = ref [] in
-        for mask = 1 to (1 lsl n) - 1 do
-          let chosen = ref [] in
-          for i = 0 to n - 1 do
-            if mask land (1 lsl i) <> 0 then chosen := arr.(i) :: !chosen
-          done;
-          verdicts := cq_verdict (conjoin_cqs !chosen) :: !verdicts
-        done;
-        meet_all ie_combine !verdicts
-      end
-    end
+    (match Ucq.independent_groups q with
+     | _ :: _ :: _ as groups -> meet_all independent (List.map ucq_verdict groups)
+     | _ ->
+       Option.value ~default:Unknown
+         (Ucq.inclusion_exclusion
+            (fun ~odd:_ c v -> Some (ie_combine v (cq_verdict c)))
+            Safe q))
 
 let ucq q = ucq_verdict q

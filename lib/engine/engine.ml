@@ -24,7 +24,15 @@
    with its own private [Compile.Memo] (a Memo is an unsynchronized
    Hashtbl, so it must never be mutated from two domains), and each
    result lands at its original index, so values and order are
-   bit-identical for every jobs count. *)
+   bit-identical for every jobs count.
+
+   Claim A.1 per fact is written once: [with_mu_exo] conditions φ against
+   the memo it is given (the shared one serially, a worker slot's copy in
+   parallel), [value] applies the splitting identity and the Shapley or
+   Banzhaf arithmetic, and [value_of_fact] and [values] are the
+   single-fact and batched entry points behind [svc]/[banzhaf] and
+   [svc_all]/[banzhaf_all].  The circuit's [by_fact] comes back in
+   players order, so it is indexed directly. *)
 
 type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
 
@@ -52,7 +60,7 @@ type t = {
   mutable full : Poly.Z.t option; (* count of phi over all n players *)
   mutable par : Stats.domain_stat array; (* last batched parallel run *)
   mutable circuit : Circuit.t option; (* compiled on first circuit answer *)
-  mutable circuit_eval : (Poly.Z.t * (Fact.t, Poly.Z.t) Hashtbl.t) option;
+  mutable circuit_eval : Circuit.evaluation option; (* by_fact in players order *)
   mutable sample_shapley : Sample.report option; (* first sampled svc_all *)
   mutable sample_banzhaf : Sample.report option;
 }
@@ -211,10 +219,15 @@ let shapley_of_polynomials ~factorials ~with_mu_exo ~without_mu ~n =
   done;
   Rational.make !num factorials.(n)
 
-let conditioned t mu b ~universe =
-  Telemetry.Counter.incr t.conditionings;
-  Compile.size_polynomial_with ~memo:t.memo ~universe
-    (Bform.condition mu b t.phi)
+(* C(φ[μ:=1], U∖{μ}), counted against [memo]: the serial path passes the
+   engine's shared memo, a parallel worker slot its private copy.  It
+   reads only immutable engine fields, so it runs in any domain; the
+   caller counts the conditioning in its own domain. *)
+let with_mu_exo t ~memo mu =
+  let universe =
+    List.filter (fun f -> not (Fact.equal f mu)) (Array.to_list t.players)
+  in
+  Compile.size_polynomial_with ~memo ~universe (Bform.condition mu true t.phi)
 
 (* The circuit backend: compile the lineage into a d-DNNF once, then one
    bottom-up + one top-down traversal reads every fact's [with_mu_exo]
@@ -238,12 +251,9 @@ let circuit_evaluation t =
   | None ->
     let c = circuit_of t in
     let ev = Circuit.evaluate ~tel:t.tel c ~universe:(Array.to_list t.players) in
-    let tbl = Hashtbl.create (max 16 (Array.length ev.Circuit.by_fact)) in
-    Array.iter (fun (f, p) -> Hashtbl.replace tbl f p) ev.Circuit.by_fact;
     t.full <- Some ev.Circuit.full;
-    let e = (ev.Circuit.full, tbl) in
-    t.circuit_eval <- Some e;
-    e
+    t.circuit_eval <- Some ev;
+    ev
 
 (* C(φ, U), the size polynomial of the unconditioned lineage over all n
    players, computed once and reused by every per-fact query. *)
@@ -252,7 +262,7 @@ let full_polynomial t =
   | Some p -> p
   | None ->
     (match t.backend with
-     | `Circuit -> fst (circuit_evaluation t)
+     | `Circuit -> (circuit_evaluation t).Circuit.full
      (* the sample backend only approximates Shapley/Banzhaf values; an
         explicit ask for the FGMC polynomial stays exact via the
         conditioning path *)
@@ -266,33 +276,29 @@ let full_polynomial t =
        t.full <- Some p;
        p)
 
-(* Splitting C(φ, U) by membership of μ gives the exact identity
+(* One fact's value from the full count and its C(φ[μ:=1]).  Splitting
+   C(φ, U) by membership of μ gives the exact identity
      C(φ, U) = z·C(φ[μ:=1], U∖{μ}) + C(φ[μ:=0], U∖{μ}),
-   so a single conditioning per fact suffices: the [without_mu] polynomial
-   is recovered from the shared full count by a polynomial subtraction.
-   The circuit backend reads [with_mu_exo] off the shared evaluation
-   instead — the same identity then applies verbatim. *)
-let polynomials t mu =
-  match t.backend with
-  | `Conditioning | `Sample _ ->
-    let full = full_polynomial t in
-    let universe =
-      List.filter (fun f -> not (Fact.equal f mu)) (Array.to_list t.players)
+   so the [without_mu] polynomial comes from a subtraction, not a second
+   conditioning.  Pure, so worker slots call it too. *)
+let value t which ~full with_mu_exo =
+  let without_mu = Poly.Z.sub full (Poly.Z.shift 1 with_mu_exo) in
+  match which with
+  | `Shapley ->
+    shapley_of_polynomials ~factorials:t.factorials ~with_mu_exo ~without_mu
+      ~n:t.n
+  | `Banzhaf ->
+    let delta =
+      Bigint.sub (Poly.Z.total with_mu_exo) (Poly.Z.total without_mu)
     in
-    let with_mu_exo = conditioned t mu true ~universe in
-    let without_mu = Poly.Z.sub full (Poly.Z.shift 1 with_mu_exo) in
-    (with_mu_exo, without_mu)
-  | `Circuit ->
-    let full, by_fact = circuit_evaluation t in
-    let with_mu_exo = Hashtbl.find by_fact mu in
-    let without_mu = Poly.Z.sub full (Poly.Z.shift 1 with_mu_exo) in
-    (with_mu_exo, without_mu)
+    Rational.make delta (Bigint.pow Bigint.two (t.n - 1))
 
 (* The sample backend: one anytime estimation pass answers every fact at
    once (Shapley and Banzhaf reports cached independently).  The run is a
    deterministic function of (lineage, universe, config) — in particular
    [jobs] plays no part, so values are bit-identical at every jobs count
-   by construction rather than by a parallel-merge argument. *)
+   by construction rather than by a parallel-merge argument.  Estimates
+   are stored in players order. *)
 let sample_run t cfg ~which =
   let cached =
     match which with
@@ -313,21 +319,6 @@ let sample_run t cfg ~which =
      | `Banzhaf -> t.sample_banzhaf <- Some r);
     r
 
-(* estimates are stored in players order, so mu's slot is its index *)
-let sample_estimate t cfg ~which mu =
-  let r = sample_run t cfg ~which in
-  let rec find i =
-    if i >= t.n then invalid_arg "Engine: fact is not endogenous"
-    else if Fact.equal t.players.(i) mu then r.Sample.estimates.(i)
-    else find (i + 1)
-  in
-  find 0
-
-let sample_values t cfg ~which =
-  let r = sample_run t cfg ~which in
-  Array.to_list
-    (Array.map (fun e -> (e.Sample.fact, e.Sample.value)) r.Sample.estimates)
-
 (* Per-fact span; the attribute list is only built when someone will read
    it, so the disabled-tracer path stays allocation-free. *)
 let fact_span t mu f =
@@ -335,16 +326,29 @@ let fact_span t mu f =
     Telemetry.span t.tel ~attrs:[ ("fact", Fact.to_string mu) ] "engine.fact" f
   else f ()
 
-let svc t mu =
+(* The exact value of players.(i) on the serial path.  The full
+   polynomial is forced before the fact's own conditioning. *)
+let exact_value t which i =
+  let mu = t.players.(i) in
+  fact_span t mu (fun () ->
+      match t.backend with
+      | `Circuit ->
+        let ev = circuit_evaluation t in
+        value t which ~full:ev.Circuit.full (snd ev.Circuit.by_fact.(i))
+      | `Conditioning | `Sample _ ->
+        let full = full_polynomial t in
+        Telemetry.Counter.incr t.conditionings;
+        value t which ~full (with_mu_exo t ~memo:t.memo mu))
+
+(* The single-fact entry point behind [svc] and [banzhaf]. *)
+let value_of_fact t which ~name mu =
   if not (Database.mem_endo mu t.db) then
-    invalid_arg "Engine.svc: fact is not endogenous";
+    invalid_arg (name ^ ": fact is not endogenous");
+  let rec index i = if Fact.equal t.players.(i) mu then i else index (i + 1) in
+  let i = index 0 in
   match t.backend with
-  | `Sample cfg -> (sample_estimate t cfg ~which:`Shapley mu).Sample.value
-  | `Conditioning | `Circuit ->
-    fact_span t mu (fun () ->
-        let with_mu_exo, without_mu = polynomials t mu in
-        shapley_of_polynomials ~factorials:t.factorials ~with_mu_exo
-          ~without_mu ~n:t.n)
+  | `Sample cfg -> (sample_run t cfg ~which).Sample.estimates.(i).Sample.value
+  | `Conditioning | `Circuit -> exact_value t which i
 
 (* The parallel batched path: fan the per-fact conditioning out across
    [t.jobs] domains.  Slot i owns the static slice [i·n/jobs, (i+1)·n/jobs)
@@ -354,10 +358,9 @@ let svc t mu =
    per-slot counters, let alone a value.  Workers touch no engine state:
    they read the immutable φ, players and full polynomial, and everything
    mutable is merged in the calling domain after the join. *)
-let batched_parallel t ~value_of =
+let batched_parallel t which =
   let full = full_polynomial t in
   let n = t.n and jobs = t.jobs in
-  let all_players = Array.to_list t.players in
   (* One trace track per worker slot: slice spans land on the lane of the
      slot that owns them, giving the Chrome view one row per domain.
      Forked here (the owning domain), handed to exactly one worker each,
@@ -389,15 +392,7 @@ let batched_parallel t ~value_of =
     let values =
       Array.init (hi - lo) (fun k ->
           let mu = t.players.(lo + k) in
-          let universe =
-            List.filter (fun f -> not (Fact.equal f mu)) all_players
-          in
-          let with_mu_exo =
-            Compile.size_polynomial_with ~memo ~universe
-              (Bform.condition mu true t.phi)
-          in
-          let without_mu = Poly.Z.sub full (Poly.Z.shift 1 with_mu_exo) in
-          (mu, value_of ~with_mu_exo ~without_mu))
+          (mu, value t which ~full (with_mu_exo t ~memo mu)))
     in
     (values, hi - lo, Compile.Memo.hits memo, Compile.Memo.misses memo)
   in
@@ -418,41 +413,22 @@ let batched_parallel t ~value_of =
         (Array.concat
            (List.map (fun (vs, _, _, _) -> vs) (Array.to_list slots))))
 
-let shapley_value_of t ~with_mu_exo ~without_mu =
-  shapley_of_polynomials ~factorials:t.factorials ~with_mu_exo ~without_mu
-    ~n:t.n
-
-let banzhaf_value_of t ~with_mu_exo ~without_mu =
-  let delta = Bigint.sub (Poly.Z.total with_mu_exo) (Poly.Z.total without_mu) in
-  Rational.make delta (Bigint.pow Bigint.two (t.n - 1))
-
-let svc_all t =
+(* The batched entry point behind [svc_all] and [banzhaf_all]. *)
+let values t which =
   Telemetry.span t.tel "engine.eval" @@ fun () ->
   match t.backend with
-  | `Sample cfg -> sample_values t cfg ~which:`Shapley
-  | `Conditioning when t.jobs > 1 ->
-    batched_parallel t ~value_of:(shapley_value_of t)
+  | `Sample cfg ->
+    let r = sample_run t cfg ~which in
+    Array.to_list
+      (Array.map (fun e -> (e.Sample.fact, e.Sample.value)) r.Sample.estimates)
+  | `Conditioning when t.jobs > 1 -> batched_parallel t which
   | `Conditioning | `Circuit ->
-    Array.to_list (Array.map (fun f -> (f, svc t f)) t.players)
+    Array.to_list (Array.mapi (fun i f -> (f, exact_value t which i)) t.players)
 
-let banzhaf t mu =
-  if not (Database.mem_endo mu t.db) then
-    invalid_arg "Engine.banzhaf: fact is not endogenous";
-  match t.backend with
-  | `Sample cfg -> (sample_estimate t cfg ~which:`Banzhaf mu).Sample.value
-  | `Conditioning | `Circuit ->
-    fact_span t mu (fun () ->
-        let with_mu_exo, without_mu = polynomials t mu in
-        banzhaf_value_of t ~with_mu_exo ~without_mu)
-
-let banzhaf_all t =
-  Telemetry.span t.tel "engine.eval" @@ fun () ->
-  match t.backend with
-  | `Sample cfg -> sample_values t cfg ~which:`Banzhaf
-  | `Conditioning when t.jobs > 1 ->
-    batched_parallel t ~value_of:(banzhaf_value_of t)
-  | `Conditioning | `Circuit ->
-    Array.to_list (Array.map (fun f -> (f, banzhaf t f)) t.players)
+let svc t mu = value_of_fact t `Shapley ~name:"Engine.svc" mu
+let banzhaf t mu = value_of_fact t `Banzhaf ~name:"Engine.banzhaf" mu
+let svc_all t = values t `Shapley
+let banzhaf_all t = values t `Banzhaf
 
 let fgmc_polynomial t = full_polynomial t
 

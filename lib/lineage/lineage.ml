@@ -27,8 +27,7 @@ let rpq_minimal_supports (q : Rpq.t) (facts : Fact.Set.t) : Fact.Set.t list =
       let support =
         Iset.fold (fun i acc -> let f, _, _ = edges.(i) in Fact.Set.add f acc) used Fact.Set.empty
       in
-      if not (List.exists (Fact.Set.equal support) !results) then
-        results := support :: !results
+      results := Fact.Set.add_distinct support !results
     in
     (* DFS over (node, nfa-state-set); a pair (edge, state-set) may appear at
        most once on the current branch: a repeat means an excisable loop, so
@@ -48,13 +47,7 @@ let rpq_minimal_supports (q : Rpq.t) (facts : Fact.Set.t) : Fact.Set.t list =
         succ
     in
     go src (Nfa.start nfa) Iset.empty [];
-    (* keep only ⊆-minimal supports *)
-    let all = !results in
-    List.filter
-      (fun s ->
-         not
-           (List.exists (fun s' -> Fact.Set.subset s' s && not (Fact.Set.equal s' s)) all))
-      all
+    Fact.Set.minimal !results
   end
 
 (* ------------------------------------------------------------------ *)

@@ -204,6 +204,18 @@ let pick_min_fill alive adj =
 (* Per-component analysis                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The component an elimination [o] of width [w] describes, on the
+   vertices [vars_arr]. *)
+let component_of vars_arr o w nb picked =
+  let facts = List.map (fun i -> vars_arr.(i)) in
+  {
+    cvars = Array.to_list vars_arr;
+    order = facts o;
+    branch = facts (branch_of_elimination o nb);
+    width = w;
+    picked;
+  }
+
 let order_component ~heuristic vars_arr clique_list =
   let adj = graph_of vars_arr clique_list in
   let run h =
@@ -223,14 +235,7 @@ let order_component ~heuristic vars_arr clique_list =
       let (_, wf, _, _) as fil = run Min_fill in
       if wd < wf then deg else fil
   in
-  let branch = branch_of_elimination o nb in
-  {
-    cvars = Array.to_list vars_arr;
-    order = List.map (fun i -> vars_arr.(i)) o;
-    branch = List.map (fun i -> vars_arr.(i)) branch;
-    width = w;
-    picked;
-  }
+  component_of vars_arr o w nb picked
 
 (* The root-level AND-component split: group the flattened conjuncts of
    a conjunctive root by shared variables (any other root is a single
@@ -260,42 +265,6 @@ let predicted_of_component nv w =
   let bits = min (w + 1) 24 in
   let per = (nv + 1) * (1 lsl bits) in
   if per >= huge_nodes || per < 0 then huge_nodes else per
-
-let analyze ?(tel = Telemetry.disabled ()) ?(heuristic = Best) phi =
-  Telemetry.span tel "plan.analyze" @@ fun () ->
-  let blocks =
-    List.sort
-      (fun (_, v1) (_, v2) ->
-         Fact.compare (Fact.Set.min_elt v1) (Fact.Set.min_elt v2))
-      (blocks phi)
-  in
-  let components =
-    Telemetry.span tel "plan.order" @@ fun () ->
-    List.map
-      (fun (parts, vs) ->
-         let vars_arr = Array.of_list (Fact.Set.elements vs) in
-         let cls =
-           List.concat_map (fun p -> cliques p) parts
-         in
-         order_component ~heuristic vars_arr cls)
-      blocks
-  in
-  let n_vars =
-    List.fold_left (fun acc c -> acc + List.length c.cvars) 0 components
-  in
-  let max_width = List.fold_left (fun acc c -> max acc c.width) 0 components in
-  let predicted_nodes =
-    List.fold_left
-      (fun acc c ->
-         saturating_add acc
-           (predicted_of_component (List.length c.cvars) c.width))
-      0 components
-  in
-  Telemetry.Gauge.set
-    (Telemetry.gauge tel "plan.components")
-    (List.length components);
-  Telemetry.Gauge.set (Telemetry.gauge tel "plan.max_width") max_width;
-  { n_vars; components; max_width; predicted_nodes; requested = heuristic }
 
 (* ------------------------------------------------------------------ *)
 (* Component-local replan                                              *)
@@ -335,48 +304,59 @@ let replay_component ~heuristic prev vars_arr clique_list =
     in
     let o, w, nb = eliminate ~pick adj in
     if w > prev.width then order_component ~heuristic vars_arr clique_list
-    else
-      let branch = branch_of_elimination o nb in
-      {
-        cvars = Array.to_list vars_arr;
-        order = List.map (fun i -> vars_arr.(i)) o;
-        branch = List.map (fun i -> vars_arr.(i)) branch;
-        width = w;
-        picked = prev.picked;
-      }
+    else component_of vars_arr o w nb prev.picked
   end
 
-let replan ?(tel = Telemetry.disabled ()) ?(heuristic = Best) ~previous phi =
-  Telemetry.span tel "plan.replan" @@ fun () ->
+(* ------------------------------------------------------------------ *)
+(* The planner pass                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The pass [analyze] and [replan] share: sort the blocks, order every
+   component, and total the certificate.  [previous] says how a
+   component gets its order — the fresh heuristic, or a replay of the
+   order [previous] gave the component with the same variables — and
+   the count of replayed orders comes back with the plan. *)
+let pass ~tel ~heuristic ?previous phi =
   let blocks =
     List.sort
       (fun (_, v1) (_, v2) ->
          Fact.compare (Fact.Set.min_elt v1) (Fact.Set.min_elt v2))
       (blocks phi)
   in
-  let prev_by_key : (string, component) Hashtbl.t =
-    Hashtbl.create (2 * List.length previous.components + 1)
-  in
-  List.iter
-    (fun c ->
-       Hashtbl.replace prev_by_key
-         (component_key (Fact.Set.of_list c.cvars))
-         c)
-    previous.components;
   let reused = ref 0 in
-  let components =
-    List.map
-      (fun (parts, vs) ->
-         let vars_arr = Array.of_list (Fact.Set.elements vs) in
-         let cls = List.concat_map (fun p -> cliques p) parts in
-         match Hashtbl.find_opt prev_by_key (component_key vs) with
+  let order =
+    match previous with
+    | None -> fun _ vars_arr cls -> order_component ~heuristic vars_arr cls
+    | Some previous ->
+      let prev_by_key : (string, component) Hashtbl.t =
+        Hashtbl.create (2 * List.length previous.components + 1)
+      in
+      List.iter
+        (fun c ->
+           Hashtbl.replace prev_by_key
+             (component_key (Fact.Set.of_list c.cvars))
+             c)
+        previous.components;
+      fun vs vars_arr cls ->
+        (match Hashtbl.find_opt prev_by_key (component_key vs) with
          | Some prev ->
            let c = replay_component ~heuristic prev vars_arr cls in
            (* only count it reused if the replay survived the width check *)
            if c.picked = prev.picked && c.order = prev.order then incr reused;
            c
          | None -> order_component ~heuristic vars_arr cls)
+  in
+  let order_all () =
+    List.map
+      (fun (parts, vs) ->
+         let vars_arr = Array.of_list (Fact.Set.elements vs) in
+         order vs vars_arr (List.concat_map (fun p -> cliques p) parts))
       blocks
+  in
+  (* a fresh analysis reports its order time in a span of its own *)
+  let components =
+    if Option.is_none previous then Telemetry.span tel "plan.order" order_all
+    else order_all ()
   in
   let n_vars =
     List.fold_left (fun acc c -> acc + List.length c.cvars) 0 components
@@ -393,9 +373,17 @@ let replan ?(tel = Telemetry.disabled ()) ?(heuristic = Best) ~previous phi =
     (Telemetry.gauge tel "plan.components")
     (List.length components);
   Telemetry.Gauge.set (Telemetry.gauge tel "plan.max_width") max_width;
-  Telemetry.Gauge.set (Telemetry.gauge tel "plan.reused_components") !reused;
   ( { n_vars; components; max_width; predicted_nodes; requested = heuristic },
     !reused )
+
+let analyze ?(tel = Telemetry.disabled ()) ?(heuristic = Best) phi =
+  Telemetry.span tel "plan.analyze" @@ fun () -> fst (pass ~tel ~heuristic phi)
+
+let replan ?(tel = Telemetry.disabled ()) ?(heuristic = Best) ~previous phi =
+  Telemetry.span tel "plan.replan" @@ fun () ->
+  let t, reused = pass ~tel ~heuristic ~previous phi in
+  Telemetry.Gauge.set (Telemetry.gauge tel "plan.reused_components") reused;
+  (t, reused)
 
 (* ------------------------------------------------------------------ *)
 (* Derived views                                                       *)
@@ -404,13 +392,6 @@ let replan ?(tel = Telemetry.disabled ()) ?(heuristic = Best) ~previous phi =
 let branch_order t = List.concat_map (fun c -> c.branch) t.components
 
 let component_count t = List.length t.components
-
-let component_index t =
-  let tbl : (Fact.t, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iteri
-    (fun i c -> List.iter (fun f -> Hashtbl.replace tbl f i) c.cvars)
-    t.components;
-  tbl
 
 (* ------------------------------------------------------------------ *)
 (* Backend recommendation                                              *)

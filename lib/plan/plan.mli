@@ -128,8 +128,6 @@ val branch_order : t -> Fact.t list
     listed order. *)
 
 val component_count : t -> int
-val component_index : t -> (Fact.t, int) Hashtbl.t
-(** Variable → index of its component in [components]. *)
 
 val recommend : t -> n_facts:int -> [ `Circuit | `Conditioning ]
 (** Cost-based backend choice for a serial batched run over [n_facts]

@@ -119,6 +119,29 @@ let rename_apart ~avoid q =
   in
   List.map (Atom.apply rho) q
 
+let conjoin qs =
+  let _, atoms =
+    List.fold_left
+      (fun (avoid, acc) c ->
+         let c' = rename_apart ~avoid c in
+         (Term.Sset.union avoid (vars c'), acc @ c'))
+      (Term.Sset.empty, []) qs
+  in
+  of_atoms atoms
+
+let separator q =
+  Term.Sset.choose_opt
+    (Term.Sset.filter
+       (fun x -> List.for_all (fun a -> Term.Sset.mem x (Atom.vars a)) q)
+       (vars q))
+
+let vocabularies_disjoint qs =
+  let rec go = function
+    | [] -> true
+    | v :: rest -> List.for_all (Term.Sset.disjoint v) rest && go rest
+  in
+  go (List.map rels qs)
+
 let instantiate tuple q =
   let qvars = vars q in
   List.iter

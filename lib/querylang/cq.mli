@@ -70,11 +70,29 @@ val rename_apart : avoid:Term.Sset.t -> t -> t
     [avoid] (variables live in their own namespace; this is for hygiene when
     conjoining queries). *)
 
+val conjoin : t list -> t
+(** The conjunction of the queries, each one's variables renamed apart
+    from those of the queries before it ({!rename_apart}).
+    @raise Invalid_argument on an empty list. *)
+
 val instantiate : (string * string) list -> t -> t
 (** [instantiate tuple q] substitutes each variable by the paired constant —
     the Remark 3.1 transformation turning a non-Boolean query plus an
     answer tuple into a Boolean query (with constants).
     @raise Invalid_argument if a named variable does not occur in [q]. *)
+
+(** {1 Lifted-inference rule conditions}
+
+    Shared by the safety verdicts ({!Safety}) and the lifted evaluator
+    ({!Lifted}), which apply the same rules. *)
+
+val separator : t -> string option
+(** A variable occurring in every atom (the smallest such name), the
+    pivot of the independent-project rule; [None] if there is none. *)
+
+val vocabularies_disjoint : t list -> bool
+(** No relation name occurs in two of the queries: the independence
+    condition of the lifted join rule. *)
 
 (** {1 Parsing and printing} *)
 

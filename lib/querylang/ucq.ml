@@ -33,18 +33,26 @@ let is_connected q = List.for_all Cq.is_connected (reduce q)
 
 let minimal_supports_in q facts =
   let all = List.concat_map (fun cq -> Cq.minimal_supports_in cq facts) q in
-  let distinct =
-    List.fold_left
-      (fun acc s -> if List.exists (Fact.Set.equal s) acc then acc else s :: acc)
-      [] all
+  Fact.Set.minimal
+    (List.fold_left (fun acc s -> Fact.Set.add_distinct s acc) [] all)
+
+let independent_groups q =
+  List.map of_cqs
+    (Incidence.group_by_shared (fun cq -> Term.Sset.elements (Cq.rels cq)) q)
+
+let inclusion_exclusion step init q =
+  let k = List.length q in
+  let rec go acc mask =
+    if mask = 1 lsl k then Some acc
+    else begin
+      (* the chosen disjuncts, highest index first *)
+      let chosen = List.rev (List.filteri (fun i _ -> mask land (1 lsl i) <> 0) q) in
+      Option.bind
+        (step ~odd:(List.length chosen mod 2 = 1) (Cq.conjoin chosen) acc)
+        (fun acc -> go acc (mask + 1))
+    end
   in
-  List.filter
-    (fun s ->
-       not
-         (List.exists
-            (fun s' -> Fact.Set.subset s' s && not (Fact.Set.equal s' s))
-            distinct))
-    distinct
+  if k > 6 then None else go init 1
 
 let canonical_supports q =
   List.map (fun cq -> fst (Cq.canonical_support cq)) (reduce q)

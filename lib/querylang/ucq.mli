@@ -42,3 +42,21 @@ val parse : string -> t
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
+
+(** {1 Lifted-inference rules}
+
+    Shared by the safety verdicts ({!Safety}) and the lifted evaluator
+    ({!Lifted}); both apply them to a {!reduce}d union. *)
+
+val independent_groups : t -> t list
+(** The disjuncts grouped by shared relation names: two disjuncts land in
+    one group when a chain of disjuncts sharing relation names links
+    them.  Groups are pairwise vocabulary-disjoint, so the union is
+    their independent union; group order is unspecified. *)
+
+val inclusion_exclusion :
+  (odd:bool -> Cq.t -> 'a -> 'a option) -> 'a -> t -> 'a option
+(** [inclusion_exclusion step init q] folds [step] over the conjunction
+    ({!Cq.conjoin}) of every non-empty subset of [q]'s disjuncts, [odd]
+    telling whether the subset has an odd number of them, and stops at
+    the first [None].  [None] also when [q] has more than 6 disjuncts. *)

@@ -52,6 +52,13 @@ module Set = struct
   let rels s = fold (fun f acc -> Term.Sset.add f.rel acc) s Term.Sset.empty
   let rename rho s = map (rename rho) s
 
+  let add_distinct s l = if List.exists (equal s) l then l else s :: l
+
+  let minimal l =
+    List.filter
+      (fun s -> not (List.exists (fun s' -> subset s' s && not (equal s' s)) l))
+      l
+
   let pp fmt s =
     Format.fprintf fmt "{@[%a@]}"
       (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ",@ ") pp)

@@ -36,6 +36,18 @@ module Set : sig
   (** All relation names appearing in the set. *)
 
   val rename : string Term.Smap.t -> t -> t
+
+  val add_distinct : t -> t list -> t list
+  (** [add_distinct s l] is [s :: l] unless [l] already holds a set equal
+      to [s], in which case it is [l].  Folding it over a list keeps each
+      set once, at its first occurrence, in reverse order: the dedup pass
+      of every minimal-support enumeration. *)
+
+  val minimal : t list -> t list
+  (** The sets of the list that no other set of the list strictly
+      contains, in their order: the subsumption pass of every
+      minimal-support enumeration. *)
+
   val pp : Format.formatter -> t -> unit
 end
 

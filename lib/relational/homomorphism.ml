@@ -96,19 +96,10 @@ let image subst atoms =
 let all_images ~into atoms =
   let seen = ref [] in
   iter_valuations ~into atoms (fun s ->
-      let img = image s atoms in
-      if not (List.exists (Fact.Set.equal img) !seen) then seen := img :: !seen);
+      seen := Fact.Set.add_distinct (image s atoms) !seen);
   List.rev !seen
 
-let minimal_images ~into atoms =
-  let images = all_images ~into atoms in
-  List.filter
-    (fun img ->
-       not
-         (List.exists
-            (fun other -> Fact.Set.subset other img && not (Fact.Set.equal other img))
-            images))
-    images
+let minimal_images ~into atoms = Fact.Set.minimal (all_images ~into atoms)
 
 (* ------------------------------------------------------------------ *)
 (* Fact-set homomorphisms: view non-fixed constants as variables.      *)

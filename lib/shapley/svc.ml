@@ -49,6 +49,10 @@ let svc_all_naive q db =
   debug_check "Svc.svc_all_naive" q db;
   List.map (fun f -> (f, svc_unchecked q db f)) (Database.endo_list db)
 
+let engine q db =
+  debug_check "Svc.engine" q db;
+  Engine.create q db
+
 let svc_all ?tel ?jobs ?backend q db =
   debug_check "Svc.svc_all" q db;
   Engine.svc_all (Engine.create ?tel ?jobs ?backend q db)

@@ -40,6 +40,11 @@ val svc_all :
     the hybrid strategy's every stratum fits under its exact cap.
     @raise Invalid_argument if [jobs < 0]. *)
 
+val engine : Query.t -> Database.t -> Engine.t
+(** {!Engine.create} with the default settings, behind the [SVC_DEBUG]
+    gate: one compiled engine serves every Shapley and Banzhaf value of
+    the pair. *)
+
 val svc_all_naive : Query.t -> Database.t -> (Fact.t * Rational.t) list
 (** The pre-engine path: an independent {!svc} call per fact, i.e. two
     fresh lineage compilations each.  Kept as the differential-testing and

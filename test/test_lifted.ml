@@ -135,6 +135,36 @@ let prop_safe_implies_constructive =
           | None -> false)
        | Safety.Unsafe | Safety.Unknown -> true)
 
+(* random UCQs of 1–3 disjuncts, with constants and self-joins: the
+   shared lifted rules keep every Safe verdict constructive *)
+let prop_safe_ucq_constructive =
+  qcheck ~count:1000 "Safety.ucq = safe ⇒ lifted engine answers exactly"
+    Gen.seed_gen
+    (fun seed ->
+       let r = Workload.rng seed in
+       let rels = [ ("R", 1); ("S", 2); ("T", 1) ] in
+       let term () =
+         if Workload.int r 4 = 0 then Term.const (Workload.pick r [ "1"; "2" ])
+         else Term.var (Workload.pick r [ "x"; "y"; "z" ])
+       in
+       let disjunct () =
+         Cq.of_atoms
+           (List.init
+              (1 + Workload.int r 3)
+              (fun _ ->
+                 let rel, arity = Workload.pick r rels in
+                 Atom.make rel (List.init arity (fun _ -> term ()))))
+       in
+       let u = Ucq.of_cqs (List.init (1 + Workload.int r 3) (fun _ -> disjunct ())) in
+       match Safety.ucq u with
+       | Safety.Safe ->
+         let db = random_db ~rels (seed + 1) in
+         (match Lifted.ucq u db with
+          | Some p ->
+            Poly.Z.equal p (Model_counting.fgmc_polynomial_brute (Query.Ucq u) db)
+          | None -> false)
+       | Safety.Unsafe | Safety.Unknown -> true)
+
 let prop_safe_plan_agreement =
   qcheck ~count:40 "lifted engine = lineage counting on hierarchical sjf-CQs"
     QCheck2.Gen.(int_range 0 1000000)
@@ -157,4 +187,5 @@ let suite =
     prop_lifted_sound;
     prop_safe_implies_constructive;
     prop_safe_plan_agreement;
+    prop_safe_ucq_constructive;
   ]

@@ -138,6 +138,26 @@ let test_db_text_roundtrip () =
   let db' = Db_text.parse (Db_text.to_string db) in
   Alcotest.(check bool) "roundtrip" true (Database.equal db db')
 
+(* The two passes every minimal-support enumeration shares. *)
+let test_support_filters () =
+  let a = facts [ fact "R" [ "1" ] ] and a' = facts [ fact "R" [ "1" ] ] in
+  let b = facts [ fact "S" [ "1"; "2" ] ] and c = facts [ fact "T" [ "2" ] ] in
+  let ab = Fact.Set.union a b in
+  let sets = Alcotest.list fact_set_t in
+  let distinct =
+    List.fold_left (fun acc s -> Fact.Set.add_distinct s acc) [] [ a; b; a'; c; b ]
+  in
+  Alcotest.check sets "each set once, reverse first-occurrence order"
+    [ c; b; a ] distinct;
+  Alcotest.(check bool) "the first occurrence is the one kept" true
+    (List.nth distinct 2 == a);
+  Alcotest.check sets "a strict superset is dropped, order kept" [ c; a; b ]
+    (Fact.Set.minimal [ ab; c; a; b ]);
+  Alcotest.check sets "equal sets are not strict supersets" [ a; a' ]
+    (Fact.Set.minimal [ a; a' ]);
+  Alcotest.check sets "the empty set subsumes every other" [ Fact.Set.empty ]
+    (Fact.Set.minimal [ b; Fact.Set.empty; ab ])
+
 let suite =
   [
     Alcotest.test_case "terms" `Quick test_terms;
@@ -152,4 +172,5 @@ let suite =
     Alcotest.test_case "incidence graphs" `Quick test_incidence;
     Alcotest.test_case "fact components outside C" `Quick test_fact_components;
     Alcotest.test_case "db text roundtrip" `Quick test_db_text_roundtrip;
+    Alcotest.test_case "support filters" `Quick test_support_filters;
   ]
