@@ -19,23 +19,28 @@ let query_arg pos_i =
 let load_db path = Db_text.load path
 let parse_query s = Query_parse.parse s
 
+(* The value block of [shapley], [eval] and [banzhaf]: one line per fact,
+   largest value first. *)
+let print_values values =
+  List.iter
+    (fun (f, v) ->
+       Printf.printf "%-30s %s  (≈ %.4f)\n" (Fact.to_string f) (Rational.to_string v)
+         (Rational.to_float v))
+    (List.sort (fun (_, a) (_, b) -> Rational.compare b a) values)
+
+(* Shapley values close with their sum, which efficiency makes q(D) - q(Dₓ). *)
+let print_shapley_values values =
+  print_values values;
+  let total = List.fold_left (fun acc (_, v) -> Rational.add acc v) Rational.zero values in
+  Printf.printf "sum: %s\n" (Rational.to_string total)
+
 (* ---------------- shapley ---------------- *)
 
 let shapley_cmd =
   let run db_path query_str =
     let db = load_db db_path in
     let q = parse_query query_str in
-    let values = Svc.svc_all q db in
-    let sorted =
-      List.sort (fun (_, a) (_, b) -> Rational.compare b a) values
-    in
-    List.iter
-      (fun (f, v) ->
-         Printf.printf "%-30s %s  (≈ %.4f)\n" (Fact.to_string f) (Rational.to_string v)
-           (Rational.to_float v))
-      sorted;
-    let total = List.fold_left (fun acc (_, v) -> Rational.add acc v) Rational.zero values in
-    Printf.printf "sum: %s\n" (Rational.to_string total)
+    print_shapley_values (Svc.svc_all q db)
   in
   let doc = "Shapley value of every endogenous fact (SVC_q)." in
   Cmd.v (Cmd.info "shapley" ~doc) Term.(const run $ db_arg $ query_arg 1)
@@ -189,17 +194,7 @@ let eval_cmd =
           msg;
         exit 1
     end;
-    let values = Engine.svc_all e in
-    let sorted =
-      List.sort (fun (_, a) (_, b) -> Rational.compare b a) values
-    in
-    List.iter
-      (fun (f, v) ->
-         Printf.printf "%-30s %s  (≈ %.4f)\n" (Fact.to_string f) (Rational.to_string v)
-           (Rational.to_float v))
-      sorted;
-    let total = List.fold_left (fun acc (_, v) -> Rational.add acc v) Rational.zero values in
-    Printf.printf "sum: %s\n" (Rational.to_string total);
+    print_shapley_values (Engine.svc_all e);
     (match stats with
      | None -> ()
      | Some `Text -> print_string (Stats.to_string (Engine.stats e))
@@ -261,11 +256,7 @@ let plan_cmd =
         Printf.eprintf "svc plan: certificate verification FAILED: %s\n" msg;
         exit 1
     in
-    let backend =
-      match Plan.recommend pl ~n_facts with
-      | `Circuit -> "circuit"
-      | `Conditioning -> "conditioning"
-    in
+    let backend = Engine.backend_name (Plan.recommend pl ~n_facts) in
     match format with
     | `Json ->
       Printf.printf
@@ -392,16 +383,7 @@ let banzhaf_cmd =
   let run db_path query_str =
     let db = load_db db_path in
     let q = parse_query query_str in
-    let values =
-      List.sort
-        (fun (_, a) (_, b) -> Rational.compare b a)
-        (Engine.banzhaf_all (Svc.engine q db))
-    in
-    List.iter
-      (fun (f, v) ->
-         Printf.printf "%-30s %s  (≈ %.4f)\n" (Fact.to_string f) (Rational.to_string v)
-           (Rational.to_float v))
-      values
+    print_values (Engine.banzhaf_all (Svc.engine q db))
   in
   let doc =
     "Banzhaf value of every endogenous fact (one lineage compilation, \

@@ -38,8 +38,7 @@ let separator_value x atoms f =
          else begin
            let args = Array.of_list (Fact.args f) in
            let positions =
-             List.filteri (fun _ _ -> true) (Atom.args atom)
-             |> List.mapi (fun i t -> (i, t))
+             List.mapi (fun i t -> (i, t)) (Atom.args atom)
              |> List.filter_map (fun (i, t) ->
                  if Term.equal t (Term.var x) then Some i else None)
            in

@@ -194,6 +194,13 @@ let lineage t = t.phi
 let jobs t = t.jobs
 let backend t = t.backend
 let requested_backend t = t.requested
+
+let backend_name = function
+  | `Auto -> "auto"
+  | `Conditioning -> "conditioning"
+  | `Circuit -> "circuit"
+  | `Sample _ -> "sample"
+
 let auto_selected t = t.auto_selected
 let plan t = t.plan
 

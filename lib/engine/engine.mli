@@ -132,6 +132,10 @@ val requested_backend : t -> backend
 (** The backend as originally asked of {!create} (what {!update}
     re-resolves). *)
 
+val backend_name : [< backend ] -> string
+(** The backend's wire and CLI name: [auto], [conditioning], [circuit] or
+    [sample]. *)
+
 val circuit_reused_nodes : t -> int
 (** {!Circuit.reused_nodes} of the engine's compiled circuit: nodes
     inherited from pre-update compiles through the shared session.  [0]

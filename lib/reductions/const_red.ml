@@ -2,8 +2,6 @@ type fgmc_const = (Const_svc.instance * int, Bigint.t) Oracle.t
 
 let fgmc_const_oracle q = Oracle.make (fun (inst, k) -> Const_svc.fgmc_const q inst k)
 
-let one_plus_z_pow k = Poly.Z.of_coeffs (List.init (k + 1) (fun i -> Bigint.binomial k i))
-
 let svc_const_via_fgmc_const ~fgmc_const inst c =
   let cn = Const_svc.endo_consts inst in
   if not (Term.Sset.mem c cn) then
@@ -17,24 +15,11 @@ let svc_const_via_fgmc_const ~fgmc_const inst c =
       ~facts:(Fact.Set.filter (fun f -> not (Term.Sset.mem c (Fact.consts f))) facts)
       ~endo_consts:others
   in
-  let acc = ref Rational.zero in
-  let n_fact = Bigint.factorial n in
-  for j = 0 to n - 1 do
-    let delta =
-      Bigint.sub
-        (Oracle.call fgmc_const (with_c_exo, j))
-        (Oracle.call fgmc_const (without_c, j))
-    in
-    if not (Bigint.is_zero delta) then begin
-      let w =
-        Rational.make
-          (Bigint.mul (Bigint.factorial j) (Bigint.factorial (n - j - 1)))
-          n_fact
-      in
-      acc := Rational.add !acc (Rational.mul w (Rational.of_bigint delta))
-    end
-  done;
-  !acc
+  let counts inst =
+    Poly.Z.of_coeffs (List.init n (fun j -> Oracle.call fgmc_const (inst, j)))
+  in
+  let with_mu_exo = counts with_c_exo in
+  Svc.svc_from_polynomials ~with_mu_exo ~without_mu:(counts without_c) ~n
 
 let fgmc_const_via_svc_const ~svc_const ~query inst =
   let c_set = Query.consts query in
@@ -43,7 +28,7 @@ let fgmc_const_via_svc_const ~svc_const ~query inst =
     invalid_arg "Const_red.fgmc_const_via_svc_const: query constants must be exogenous";
   let n = Term.Sset.cardinal cn in
   if Query.eval query (Const_svc.induced inst Term.Sset.empty) then
-    one_plus_z_pow n
+    Compile.one_plus_z_pow n
   else begin
     (* Collapse a fresh support onto a single new constant a_μ. *)
     let support =
@@ -64,37 +49,21 @@ let fgmc_const_via_svc_const ~svc_const ~query inst =
     if Fact.Set.exists (fun f -> Term.Sset.subset (Fact.consts f) c_set) probe then
       invalid_arg
         "Const_red.fgmc_const_via_svc_const: collapsed support has a fact over C";
-    (* copies with fresh pivots a_μ⁰ .. a_μⁱ *)
+    (* copies with fresh pivots a_μ⁰ .. a_μⁿ; the i-th instance holds
+       copies 0..i *)
     let pivots = Array.init (n + 1) (fun k -> Term.fresh_const ~prefix:(Printf.sprintf "amu%d" k) ()) in
-    let copies = Array.map collapse pivots in
-    let facts0 = Const_svc.facts inst in
-    let sh_values =
-      Array.init (n + 1) (fun i ->
-          let facts = ref facts0 in
-          let endo = ref cn in
-          for k = 0 to i do
-            facts := Fact.Set.union copies.(k) !facts;
-            endo := Term.Sset.add pivots.(k) !endo
-          done;
-          let inst_i = Const_svc.make_instance ~facts:!facts ~endo_consts:!endo in
-          Oracle.call svc_const (inst_i, pivots.(0)))
+    let add pivot a =
+      Const_svc.make_instance
+        ~facts:(Fact.Set.union (collapse pivot) (Const_svc.facts a))
+        ~endo_consts:(Term.Sset.add pivot (Const_svc.endo_consts a))
     in
-    (* shᵢ = Σ_j j!(n+i-j)!/(n+i+1)! · (C(n,j) - FGMC_j) *)
-    let matrix =
-      Array.init (n + 1) (fun i ->
-          Array.init (n + 1) (fun j ->
-              Rational.make
-                (Bigint.mul (Bigint.factorial j) (Bigint.factorial (n + i - j)))
-                (Bigint.factorial (n + i + 1))))
+    let values =
+      Fgmc_to_svc.measure
+        (fun a -> Oracle.call svc_const (a, pivots.(0)))
+        ~add (add pivots.(0) inst)
+        (Array.sub pivots 1 n)
     in
-    match Linalg.solve matrix sh_values with
-    | Some x ->
-      Poly.Z.of_coeffs
-        (Array.to_list
-           (Array.mapi
-              (fun j v ->
-                 Rational.to_bigint
-                   (Rational.sub (Rational.of_bigint (Bigint.binomial n j)) v))
-              x))
-    | None -> invalid_arg "Const_red.fgmc_const_via_svc_const: singular system"
+    (* shᵢ = Σ_j j!(n+i-j)!/(n+i+1)! · (C(n,j) - FGMC_j): the m = 0 system
+       on the raw values, with no degenerate cases to clean *)
+    Fgmc_to_svc.invert ~m:0 Fgmc_to_svc.Complement values
   end

@@ -2,10 +2,64 @@ type mode =
   | Count
   | Complement
 
-(* (1 + z)^k with integer coefficients *)
-let one_plus_z_pow k = Poly.Z.of_coeffs (List.init (k + 1) (fun i -> Bigint.binomial k i))
+(* Every factorial the Lemma 5.1 arithmetic of an n-fact instance with
+   |S⁻| = m reads: up to (n + i + m + 1)! with i ≤ n. *)
+let factorials ~n ~m = Bigint.factorial_table ((2 * n) + m + 1)
 
-let binomial_polynomial n = one_plus_z_pow n
+let measure oracle ~add base copies =
+  let a = ref base in
+  Array.init
+    (Array.length copies + 1)
+    (fun i ->
+       if i > 0 then a := add copies.(i - 1) !a;
+       oracle !a)
+
+(* Closed-form contribution Zᵢ of cases (1) and (2) of Lemma 5.1: the sets
+   B containing some μᵏ or missing part of S⁻.  With Nᵢ = n + i + 1 + m
+   players, of which B ranges over Nᵢ - 1, there are C(Nᵢ-1, b) sets of
+   size b and C(n, b-m) of them avoid both cases — so Zᵢ is Claim A.1 on
+   the polynomials (1+z)^(Nᵢ-1) and z^m·(1+z)^n. *)
+let clean ~m values =
+  let n = Array.length values - 1 in
+  let factorials = factorials ~n ~m in
+  let good = Poly.Z.shift m (Compile.one_plus_z_pow n) in
+  Array.mapi
+    (fun i sh ->
+       let players = n + i + 1 + m in
+       let z =
+         Engine.shapley_of_polynomials ~factorials
+           ~with_mu_exo:(Compile.one_plus_z_pow (players - 1))
+           ~without_mu:good ~n:players
+       in
+       Rational.sub (Rational.sub Rational.one sh) z)
+    values
+
+(* Invert the system  shᵢ = Σ_j (j+m)!(n+i-j)! / (n+i+m+1)! · x_j. *)
+let invert ~m mode values =
+  let n = Array.length values - 1 in
+  let f = factorials ~n ~m in
+  let matrix =
+    Array.init (n + 1) (fun i ->
+        Array.init (n + 1) (fun j ->
+            Rational.make
+              (Bigint.mul f.(j + m) f.(n + i - j))
+              f.(n + i + m + 1)))
+  in
+  match Linalg.solve matrix values with
+  | None ->
+    (* impossible: the matrix reduces to Bacher's (i+j)! matrix *)
+    invalid_arg "Fgmc_to_svc: singular system"
+  | Some x ->
+    let counts = Poly.Z.of_coeffs (Array.to_list (Array.map Rational.to_bigint x)) in
+    (match mode with
+     | Count -> counts
+     | Complement -> Poly.Z.sub (Compile.one_plus_z_pow n) counts)
+
+(* Aⁱ⁺¹ from Aⁱ: the copy's μᵏ endogenous, the rest of Sᵏ exogenous. *)
+let add_copy (facts, mu_k) a =
+  Database.of_sets
+    ~endo:(Fact.Set.add mu_k (Database.endo a))
+    ~exo:(Fact.Set.union (Fact.Set.remove mu_k facts) (Database.exo a))
 
 let reduce_engine ~svc ~count_query ~query_consts ~s_prime ~support ~pivot ~mode db =
   if Fact.Set.is_empty support then
@@ -23,7 +77,7 @@ let reduce_engine ~svc ~count_query ~query_consts ~s_prime ~support ~pivot ~mode
   if
     Query.is_hom_closed_syntactically count_query
     && Query.eval count_query (Database.exo db)
-  then binomial_polynomial (Database.size_endo db)
+  then Compile.one_plus_z_pow (Database.size_endo db)
   else begin
     (* Claim 5.1 (2): C-isomorphically rename D away from the constants of
        the construction (the counted polynomial is invariant). *)
@@ -51,93 +105,27 @@ let reduce_engine ~svc ~count_query ~query_consts ~s_prime ~support ~pivot ~mode
       | Some f -> f
       | None -> invalid_arg "Fgmc_to_svc: pivot part S⁰ is empty"
     in
-    (* Copies S¹..Sⁱ: rename the pivot only; the glue constants shared with
+    (* Copies S¹..Sⁿ: rename the pivot only; the glue constants shared with
        S⁻ are preserved so that Sᵏ ⊎ S⁻ remains a support. *)
     let copy k =
       let fresh = Term.fresh_const ~prefix:(Printf.sprintf "%s.copy%d" pivot k) () in
       let rho = Term.Smap.singleton pivot fresh in
-      let facts = Fact.Set.rename rho s0 in
-      let mu_k = Fact.rename rho mu in
-      (facts, mu_k)
-    in
-    (* Build Aⁱ incrementally; measurements for i = 0 .. n. *)
-    let base_endo =
-      Fact.Set.union (Database.endo db) (Fact.Set.add mu s_minus)
-    in
-    let base_exo =
-      Fact.Set.union (Database.exo db)
-        (Fact.Set.union s_prime (Fact.Set.remove mu s0))
+      (Fact.Set.rename rho s0, Fact.rename rho mu)
     in
     let copies = Array.init n (fun k -> copy (k + 1)) in
-    let sh_values =
-      Array.init (n + 1) (fun i ->
-          let endo = ref base_endo and exo = ref base_exo in
-          for k = 0 to i - 1 do
-            let facts, mu_k = copies.(k) in
-            endo := Fact.Set.add mu_k !endo;
-            exo := Fact.Set.union (Fact.Set.remove mu_k facts) !exo
-          done;
-          let a_i = Database.of_sets ~endo:!endo ~exo:!exo in
-          Oracle.call svc (a_i, mu))
+    let a0 =
+      Database.of_sets
+        ~endo:(Fact.Set.union (Database.endo db) (Fact.Set.add mu s_minus))
+        ~exo:
+          (Fact.Set.union (Database.exo db)
+             (Fact.Set.union s_prime (Fact.Set.remove mu s0)))
     in
-    (* Closed-form contribution Zᵢ of cases (1) and (2) of Lemma 5.1: the
-       sets B containing some μᵏ or missing part of S⁻.  With
-       Nᵢ = n + i + 1 + m players, of which B ranges over Nᵢ - 1:
-       #bad(b) = C(Nᵢ-1, b) - C(n, b-m). *)
-    let z_term i =
-      let n_i = n + i + 1 + m in
-      let n_i_fact = Bigint.factorial n_i in
-      let acc = ref Rational.zero in
-      for b = 0 to n_i - 1 do
-        let bad =
-          Bigint.sub (Bigint.binomial (n_i - 1) b) (Bigint.binomial n (b - m))
-        in
-        if not (Bigint.is_zero bad) then begin
-          let w =
-            Rational.make
-              (Bigint.mul (Bigint.factorial b) (Bigint.factorial (n_i - b - 1)))
-              n_i_fact
-          in
-          acc := Rational.add !acc (Rational.mul w (Rational.of_bigint bad))
-        end
-      done;
-      !acc
+    let values =
+      measure (fun a -> Oracle.call svc (a, mu)) ~add:add_copy a0 copies
     in
-    let sh_clean =
-      Array.init (n + 1) (fun i ->
-          Rational.sub (Rational.sub Rational.one sh_values.(i)) (z_term i))
-    in
-    (* Invert the system  shᵢ = Σ_j (j+m)!(n+i-j)! / (n+i+m+1)! · x_j. *)
-    let matrix =
-      Array.init (n + 1) (fun i ->
-          Array.init (n + 1) (fun j ->
-              Rational.make
-                (Bigint.mul
-                   (Bigint.factorial (j + m))
-                   (Bigint.factorial (n + i - j)))
-                (Bigint.factorial (n + i + m + 1))))
-    in
-    let x =
-      match Linalg.solve matrix sh_clean with
-      | Some x -> x
-      | None ->
-        (* impossible: the matrix reduces to Bacher's (i+j)! matrix *)
-        invalid_arg "Fgmc_to_svc: singular system"
-    in
-    let counts =
-      Array.mapi
-        (fun j v ->
-           let v =
-             match mode with
-             | Count -> v
-             | Complement ->
-               Rational.sub (Rational.of_bigint (Bigint.binomial n j)) v
-           in
-           Rational.to_bigint v)
-        x
-    in
-    let poly = Poly.Z.of_coeffs (Array.to_list counts) in
-    Poly.Z.mul poly (one_plus_z_pow dropped_endo)
+    Poly.Z.mul
+      (invert ~m mode (clean ~m values))
+      (Compile.one_plus_z_pow dropped_endo)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -231,7 +219,7 @@ let lemma44_with ~pick_pivot ~svc ~q1 ~q2 ?split db =
   in
   let p1 = run ~count_query:q1 ~other:q2 d1 in
   let p2 = run ~count_query:q2 ~other:q1 d2 in
-  Poly.Z.mul (Poly.Z.mul p1 p2) (one_plus_z_pow free)
+  Poly.Z.mul (Poly.Z.mul p1 p2) (Compile.one_plus_z_pow free)
 
 let any_outside_pivot ~c support =
   Term.Sset.min_elt_opt (Term.Sset.diff (Fact.Set.consts support) c)

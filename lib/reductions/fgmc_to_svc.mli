@@ -10,16 +10,23 @@
     support being duplicated, [S⁰] the facts containing the pivot constant
     [a], and each [Sᵏ] renames [a] to a fresh constant.  Endogenous facts
     of [Aⁱ]: those of [D], the distinguished [μ ∈ S⁰] and its copies
-    [μᵏ], and all of [S⁻].  Querying the SVC oracle on [(Aⁱ, μ)] for
-    [i = 0..|Dₙ|], subtracting the closed-form contribution of the
-    degenerate cases of Lemma 5.1, and inverting the shifted-factorial
-    linear system recovers the whole FGMC vector. *)
+    [μᵏ], and all of [S⁻].  Three steps recover the whole FGMC vector:
+    {!measure} queries the SVC oracle on [(Aⁱ, μ)] for [i = 0..|Dₙ|],
+    {!clean} subtracts the closed-form contribution of the degenerate
+    cases of Lemma 5.1, and {!invert} solves the shifted-factorial linear
+    system.
+
+    {!Max_svc_red} (Proposition 6.2) runs the same three steps with
+    [m = |S⁻| = 0]; {!Const_red} (Proposition 6.3) runs {!measure} and
+    {!invert} with [m = 0] on raw values, which need no cleaning; and
+    {!Negation_red} (Proposition 6.1, Lemma D.2) calls {!reduce_engine}
+    itself. *)
 
 type mode =
   | Count        (** Lemmas 4.1/4.3: case (3) of Lemma 5.1 collects the
                      generalized supports. *)
   | Complement   (** Lemma 4.4: case (3) collects the non-supports of the
-                     conjunct being counted. *)
+                     conjunct being counted (as does Prop. 6.3's system). *)
 
 val reduce_engine :
   svc:Oracle.svc ->
@@ -35,6 +42,35 @@ val reduce_engine :
     is computed ([q] for Lemmas 4.1/4.3, a conjunct [qᵢ] for Lemma 4.4);
     the [svc] oracle answers SVC for the (possibly different) oracle query.
     @raise Invalid_argument if [pivot ∉ const(support) ∖ query_consts]. *)
+
+(** {1 The Lemma 5.1 arithmetic}
+
+    Shared by every construction of the Figure 2 shape.  Factorials come
+    from one {!Bigint.factorial_table} per call. *)
+
+val measure :
+  ('a -> Rational.t) -> add:('c -> 'a -> 'a) -> 'a -> 'c array -> Rational.t array
+(** [measure oracle ~add a0 copies] is the oracle's value on
+    [A⁰ = a0, A¹, …, Aⁿ] with [n = Array.length copies] and
+    [Aⁱ = add copies.(i-1) Aⁱ⁻¹]: one oracle call per instance, in
+    order. *)
+
+val add_copy : Fact.Set.t * Fact.t -> Database.t -> Database.t
+(** [add_copy (Sᵏ, μᵏ)] is Figure 2's step [Aⁱ⁻¹ → Aⁱ] on databases:
+    [μᵏ] endogenous, the rest of [Sᵏ] exogenous. *)
+
+val clean : m:int -> Rational.t array -> Rational.t array
+(** [clean ~m sh] maps the [n + 1] measurements [shᵢ = Sh(Aⁱ, μ)] to
+    [1 - shᵢ - Zᵢ], where [Zᵢ] is the closed-form contribution of the
+    sets covered by cases (1)/(2) of Lemma 5.1 (some [μᵏ] present, or
+    part of the [m] facts of [S⁻] missing). *)
+
+val invert : m:int -> mode -> Rational.t array -> Poly.Z.t
+(** [invert ~m mode v] solves
+    [vᵢ = Σ_j (j+m)!(n+i-j)!/(n+i+m+1)! · y_j] for [i, j = 0..n]
+    ([n + 1 = Array.length v]) and returns the polynomial [Σ_j x_j z^j]
+    with [x_j = y_j] ([Count]) or [x_j = C(n,j) - y_j] ([Complement]).
+    @raise Invalid_argument if a solution coordinate is not an integer. *)
 
 (** {1 Lemma 4.1 — pseudo-connected queries} *)
 

@@ -1,10 +1,8 @@
-let one_plus_z_pow k = Poly.Z.of_coeffs (List.init (k + 1) (fun i -> Bigint.binomial k i))
-
 let reduce ~max_svc ~query ~support db =
   if Fact.Set.is_empty support then invalid_arg "Max_svc_red.reduce: empty support";
   let c_set = Query.consts query in
   if Query.eval query (Database.exo db) then
-    one_plus_z_pow (Database.size_endo db)
+    Compile.one_plus_z_pow (Database.size_endo db)
   else begin
     let db, _ =
       Database.rename_away ~keep:c_set ~avoid:(Fact.Set.consts support) db
@@ -29,54 +27,20 @@ let reduce ~max_svc ~query ~support db =
       (facts, Fact.rename rho mu)
     in
     let copies = Array.init n (fun k -> copy (k + 1)) in
-    let base_endo = Fact.Set.add mu (Database.endo db) in
-    let base_exo = Fact.Set.union (Database.exo db) (Fact.Set.remove mu support) in
-    let sh_values =
-      Array.init (n + 1) (fun i ->
-          let endo = ref base_endo and exo = ref base_exo in
-          for k = 0 to i - 1 do
-            let facts, mu_k = copies.(k) in
-            endo := Fact.Set.add mu_k !endo;
-            exo := Fact.Set.union (Fact.Set.remove mu_k facts) !exo
-          done;
-          let a_i = Database.of_sets ~endo:!endo ~exo:!exo in
-          match Oracle.call max_svc a_i with
-          | Some (_, v) -> v
-          | None -> invalid_arg "Max_svc_red.reduce: oracle returned no fact")
+    let a0 =
+      Database.of_sets
+        ~endo:(Fact.Set.add mu (Database.endo db))
+        ~exo:(Fact.Set.union (Database.exo db) (Fact.Set.remove mu support))
     in
-    (* Identical arithmetic to the m = 0 instance of the main engine:
-       cases (1)/(2) of Lemma 5.1 reduce to "some μᵏ ∈ B". *)
-    let z_term i =
-      let n_i = n + i + 1 in
-      let n_i_fact = Bigint.factorial n_i in
-      let acc = ref Rational.zero in
-      for b = 0 to n_i - 1 do
-        let bad = Bigint.sub (Bigint.binomial (n_i - 1) b) (Bigint.binomial n b) in
-        if not (Bigint.is_zero bad) then begin
-          let w =
-            Rational.make
-              (Bigint.mul (Bigint.factorial b) (Bigint.factorial (n_i - b - 1)))
-              n_i_fact
-          in
-          acc := Rational.add !acc (Rational.mul w (Rational.of_bigint bad))
-        end
-      done;
-      !acc
+    let max_sh a =
+      match Oracle.call max_svc a with
+      | Some (_, v) -> v
+      | None -> invalid_arg "Max_svc_red.reduce: oracle returned no fact"
     in
-    let sh_clean =
-      Array.init (n + 1) (fun i ->
-          Rational.sub (Rational.sub Rational.one sh_values.(i)) (z_term i))
-    in
-    let matrix =
-      Array.init (n + 1) (fun i ->
-          Array.init (n + 1) (fun j ->
-              Rational.make
-                (Bigint.mul (Bigint.factorial j) (Bigint.factorial (n + i - j)))
-                (Bigint.factorial (n + i + 1))))
-    in
-    match Linalg.solve matrix sh_clean with
-    | Some x -> Poly.Z.of_coeffs (Array.to_list (Array.map Rational.to_bigint x))
-    | None -> invalid_arg "Max_svc_red.reduce: singular system"
+    (* The m = 0 instance of the main engine: cases (1)/(2) of Lemma 5.1
+       reduce to "some μᵏ ∈ B". *)
+    let values = Fgmc_to_svc.measure max_sh ~add:Fgmc_to_svc.add_copy a0 copies in
+    Fgmc_to_svc.invert ~m:0 Fgmc_to_svc.Count (Fgmc_to_svc.clean ~m:0 values)
   end
 
 let reduce_auto ~max_svc ~query db =

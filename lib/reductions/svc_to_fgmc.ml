@@ -1,21 +1,10 @@
-let weight n j =
-  Rational.make
-    (Bigint.mul (Bigint.factorial j) (Bigint.factorial (n - j - 1)))
-    (Bigint.factorial n)
-
 let svc_with ~fgmc_j db mu =
   if not (Database.mem_endo mu db) then
     invalid_arg "Svc_to_fgmc.svc: fact is not endogenous";
   let n = Database.size_endo db in
-  let db_mu_exo = Database.make_exogenous mu db in
-  let db_without = Database.remove mu db in
-  let acc = ref Rational.zero in
-  for j = 0 to n - 1 do
-    let delta = Bigint.sub (fgmc_j db_mu_exo j) (fgmc_j db_without j) in
-    if not (Bigint.is_zero delta) then
-      acc := Rational.add !acc (Rational.mul (weight n j) (Rational.of_bigint delta))
-  done;
-  !acc
+  let counts db = Poly.Z.of_coeffs (List.init n (fgmc_j db)) in
+  let with_mu_exo = counts (Database.make_exogenous mu db) in
+  Svc.svc_from_polynomials ~with_mu_exo ~without_mu:(counts (Database.remove mu db)) ~n
 
 let svc ~fgmc db mu = svc_with ~fgmc_j:(fun db j -> Oracle.call fgmc (db, j)) db mu
 

@@ -163,11 +163,6 @@ let backend_of_tag req : Engine.backend =
     `Sample (Sample.config ~seed ())
   | Some other -> rejectf "bad_request" "unknown backend %S" other
 
-let backend_name = function
-  | `Conditioning -> "conditioning"
-  | `Circuit -> "circuit"
-  | `Sample _ -> "sample"
-
 let required req k =
   match str_field req k with
   | Some s -> s
@@ -214,18 +209,11 @@ let fresh_engine t ds ~backend ~query_src =
   Engine.create ~tel:t.tel ~cache_capacity:t.engine_cache_capacity
     ~jobs:t.jobs ~backend query ds.db
 
-let requested_name (b : Engine.backend) =
-  match b with
-  | `Auto -> "auto"
-  | `Conditioning -> "conditioning"
-  | `Circuit -> "circuit"
-  | `Sample _ -> "sample"
-
 (* hit / delta / miss resolution of the (db, query, backend) entry *)
 let entry_for t ~db_name ~query_src ~backend =
   let ds = db_state t db_name in
   let key =
-    String.concat "\x00" [ db_name; query_src; requested_name backend ]
+    String.concat "\x00" [ db_name; query_src; Engine.backend_name backend ]
   in
   t.tick <- t.tick + 1;
   let e, status =
@@ -308,7 +296,7 @@ let handle_eval t id req =
     [
       ("op", jstr "eval");
       ("db", jstr db_name);
-      ("backend", jstr (backend_name (Engine.backend e.engine)));
+      ("backend", jstr (Engine.backend_name (Engine.backend e.engine)));
       ("cache", jstr status);
       ("version", string_of_int e.version);
       ("reused_nodes", string_of_int (Engine.circuit_reused_nodes e.engine));

@@ -348,40 +348,6 @@ module Export = struct
             Printf.sprintf "\"%s\":\"%s\"" (Tracejson.escape k) (Tracejson.escape v))
          attrs)
 
-  let jsonl t =
-    let buf = Buffer.create 512 in
-    List.iter
-      (fun e ->
-         Buffer.add_string buf
-           (Printf.sprintf
-              "{\"type\":\"span\",\"name\":\"%s\",\"track\":%d,\"depth\":%d,\
-               \"start_ms\":%.3f,\"dur_ms\":%.3f,\"attrs\":{%s}}\n"
-              (Tracejson.escape e.ev_name) e.ev_track e.ev_depth (ms e.ev_start_s)
-              (ms e.ev_dur_s) (attrs_json e.ev_attrs)))
-      (events t);
-    List.iter
-      (fun (name, m) ->
-         match m with
-         | Counter c ->
-           Buffer.add_string buf
-             (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n"
-                (Tracejson.escape name) (Counter.value c))
-         | Gauge g ->
-           Buffer.add_string buf
-             (Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%d}\n"
-                (Tracejson.escape name) (Gauge.value g))
-         | Histogram h ->
-           Buffer.add_string buf
-             (Printf.sprintf
-                "{\"type\":\"histogram\",\"name\":\"%s\",\"bins\":[%s]}\n"
-                (Tracejson.escape name)
-                (String.concat ","
-                   (List.map
-                      (fun (v, n) -> Printf.sprintf "[%d,%d]" v n)
-                      (Histogram.bins h)))))
-      (metrics t);
-    Buffer.contents buf
-
   (* Chrome trace_event JSON (the about:tracing / Perfetto format): one
      thread_name metadata record per track, one complete ("X") event per
      span with microsecond timestamps, and one final counter ("C") sample

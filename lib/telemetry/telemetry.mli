@@ -1,5 +1,5 @@
 (** Unified telemetry: hierarchical spans, a metrics registry, and
-    exporters (summary tree, JSON lines, Chrome [trace_event]).
+    exporters (summary tree, Chrome [trace_event]).
 
     A tracer {!t} records {e spans} (named, nested, timestamped intervals)
     and owns a {e registry} of named metrics.  Timestamps come from an
@@ -188,9 +188,6 @@ module Export : sig
       path (alphabetical siblings), then counters/gauges/histograms.
       Every wall-clock figure ends its line in [time  : …ms], so one mask
       covers them all in cram tests. *)
-
-  val jsonl : t -> string
-  (** One JSON object per line: spans first (track order), then metrics. *)
 
   val chrome : t -> string
   (** Chrome [trace_event] JSON, loadable in [about:tracing] / Perfetto:

@@ -214,6 +214,40 @@ let prop_lemma43_random =
          (Fgmc_to_svc.lemma43 ~svc:(Oracle.svc_of qand) ~q ~q' db)
          (Model_counting.fgmc_polynomial q db))
 
+(* Lemma 5.1's system written out entry by entry, independently of
+   [Fgmc_to_svc]: shᵢ = Σ_j (j+m)!(n+i-j)!/(n+i+m+1)! · y_j with y_j = x_j
+   (Count) or C(n,j) - x_j (Complement).  [invert] must give back x. *)
+let prop_invert_recovers_counts =
+  qcheck ~count:60 "Lemma 5.1 system: invert recovers the count vector"
+    Gen.seed_gen
+    (fun seed ->
+       let r = Workload.rng seed in
+       let n = Workload.int r 8 and m = Workload.int r 4 in
+       let mode = if Workload.bool r then Fgmc_to_svc.Count else Fgmc_to_svc.Complement in
+       let x =
+         Array.init (n + 1) (fun j ->
+             Bigint.of_int (Workload.int r (Bigint.to_int (Bigint.binomial n j) + 1)))
+       in
+       let y j =
+         match mode with
+         | Fgmc_to_svc.Count -> x.(j)
+         | Fgmc_to_svc.Complement -> Bigint.sub (Bigint.binomial n j) x.(j)
+       in
+       let sh =
+         Array.init (n + 1) (fun i ->
+             let acc = ref Rational.zero in
+             for j = 0 to n do
+               let w =
+                 Rational.make
+                   (Bigint.mul (Bigint.factorial (j + m)) (Bigint.factorial (n + i - j)))
+                   (Bigint.factorial (n + i + m + 1))
+               in
+               acc := Rational.add !acc (Rational.mul w (Rational.of_bigint (y j)))
+             done;
+             !acc)
+       in
+       Poly.Z.equal (Poly.Z.of_coeffs (Array.to_list x)) (Fgmc_to_svc.invert ~m mode sh))
+
 (* structurally random connected constant-free sjf-CQs: build a random tree
    over k variables, one binary atom per edge, plus unary atoms on random
    variables — connected by construction *)
@@ -269,4 +303,5 @@ let suite =
     prop_lemma41_random_sjf2;
     prop_lemma44_random;
     prop_lemma43_random;
+    prop_invert_recovers_counts;
   ]

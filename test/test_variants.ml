@@ -129,6 +129,47 @@ let test_prop63_guard () =
        ignore
          (Const_red.fgmc_const_via_svc_const ~svc_const:(Oracle.svc_const_of q) ~query:q inst))
 
+(* Oracle traffic of Section 6's reductions: Prop. 6.2 asks max-SVC once on
+   each of A⁰…Aⁿ, Prop. 6.3 asks SVC^const once on each of its |Cₙ|+1
+   instances, and its Claim A.1 direction asks FGMC^const two counts per
+   size. *)
+let test_prop62_call_count () =
+  let db =
+    Database.make
+      ~endo:[ fact "R" [ "1" ]; fact "S" [ "1"; "2" ]; fact "T" [ "2" ]; fact "S" [ "1"; "3" ] ]
+      ~exo:[ fact "T" [ "3" ] ]
+  in
+  let max_svc = Oracle.max_svc_of qrst in
+  let support = Option.get (Query.fresh_support qrst) in
+  ignore (Max_svc_red.reduce ~max_svc ~query:qrst ~support db);
+  Alcotest.(check int) "|Dₙ|+1 oracle calls" (Database.size_endo db + 1) (Oracle.calls max_svc)
+
+let prop63_instance () =
+  let q = Query_parse.parse "R(?x,?y), T(?y,?z)" in
+  let fs =
+    facts
+      [ fact "R" [ "1"; "2" ]; fact "T" [ "2"; "3" ]; fact "R" [ "4"; "2" ]; fact "T" [ "2"; "5" ] ]
+  in
+  let cn = Term.Sset.of_list [ "1"; "2"; "4" ] in
+  (q, cn, Const_svc.make_instance ~facts:fs ~endo_consts:cn)
+
+let test_prop63_forward_call_count () =
+  let q, cn, inst = prop63_instance () in
+  let svc_const = Oracle.svc_const_of q in
+  ignore (Const_red.fgmc_const_via_svc_const ~svc_const ~query:q inst);
+  Alcotest.(check int) "|Cₙ|+1 oracle calls" (Term.Sset.cardinal cn + 1)
+    (Oracle.calls svc_const)
+
+let test_prop63_backward_call_count () =
+  let q, cn, inst = prop63_instance () in
+  Term.Sset.iter
+    (fun c ->
+       let fgmc_const = Const_red.fgmc_const_oracle q in
+       ignore (Const_red.svc_const_via_fgmc_const ~fgmc_const inst c);
+       Alcotest.(check int) ("2|Cₙ| oracle calls for " ^ c) (2 * Term.Sset.cardinal cn)
+         (Oracle.calls fgmc_const))
+    cn
+
 let test_prop61_negation () =
   let qn = Cqneg.parse "R(?x), S(?x,?y), !T(?y)" in
   let db =
@@ -402,6 +443,9 @@ let suite =
     Alcotest.test_case "Prop 6.3: forward" `Quick test_prop63_forward;
     Alcotest.test_case "Prop 6.3: backward" `Quick test_prop63_backward;
     Alcotest.test_case "Prop 6.3: guard" `Quick test_prop63_guard;
+    Alcotest.test_case "Prop 6.2: |Dₙ|+1 oracle calls" `Quick test_prop62_call_count;
+    Alcotest.test_case "Prop 6.3: |Cₙ|+1 oracle calls" `Quick test_prop63_forward_call_count;
+    Alcotest.test_case "Prop 6.3: 2|Cₙ| oracle calls" `Quick test_prop63_backward_call_count;
     Alcotest.test_case "Prop 6.1: negation" `Quick test_prop61_negation;
     Alcotest.test_case "Prop 6.1: multi-component" `Quick test_prop61_multi_component;
     Alcotest.test_case "Prop 6.1: guards" `Quick test_prop61_guards;
