@@ -51,6 +51,14 @@ let sample_cap () =
   | None | Some "" -> max_int
   | Some s -> (try int_of_string s with Failure _ -> max_int)
 
+(* Lineage construction ([Engine.create]) per instance, keyed by |Dn|, at
+   the commit before the self-join-free shortcut in
+   [Cq.minimal_supports_in] (median of 3 full runs, release build,
+   2-vCPU x86_64 host): the "before" next to each entry's [lineage_ms]. *)
+let lineage_ms_before =
+  [ (1088, 75.5); (2600, 526.7); (5040, 2013.2); (10200, 8177.3);
+    (1001, 124.2); (10001, 11692.4) ]
+
 let sample () =
   Report.heading "SAMPLE"
     "Anytime sampling backend at 10^3..10^4 facts (emits BENCH_sample.json)";
@@ -70,7 +78,9 @@ let sample () =
   List.iter
     (fun (family, q, db) ->
        let n = Database.size_endo db in
-       let e = Engine.create ~backend:(`Sample cfg) q db in
+       let e, lineage_s =
+         Report.time_it (fun () -> Engine.create ~backend:(`Sample cfg) q db)
+       in
        let _, eval_s = Report.time_it (fun () -> Engine.svc_all e) in
        let st = Engine.stats e in
        let hw, draws, converged =
@@ -82,19 +92,24 @@ let sample () =
        in
        if not converged then all_converged := false;
        rows :=
-         [ family; string_of_int n; string_of_int draws;
+         [ family; string_of_int n; Report.ms lineage_s; string_of_int draws;
            Printf.sprintf "%.4f" hw; Report.ms eval_s;
            (if converged then "yes" else "NO") ]
          :: !rows;
        entries :=
          Printf.sprintf
-           "{\"family\":%S,\"n_endo\":%d,\"eval_ms\":%.1f,\
-            \"max_hw_float\":%.5f,\"stats\":%s}"
-           family n (eval_s *. 1000.) hw (Stats.to_json st)
+           "{\"family\":%S,\"n_endo\":%d,\"lineage_ms\":%.1f,\
+            \"lineage_ms_before\":%s,\"eval_ms\":%.1f,\"max_hw_float\":%.5f,\
+            \"stats\":%s}"
+           family n (lineage_s *. 1000.)
+           (match List.assoc_opt n lineage_ms_before with
+            | Some ms -> Printf.sprintf "%.1f" ms
+            | None -> "null")
+           (eval_s *. 1000.) hw (Stats.to_json st)
          :: !entries)
     instances;
   Report.table
-    ~headers:[ "query [instance family]"; "|Dn|"; "draws"; "95% CI hw";
+    ~headers:[ "query [instance family]"; "|Dn|"; "lineage"; "draws"; "95% CI hw";
                "eval"; "converged" ]
     (List.rev !rows);
   (* small-instance sanity: the hybrid estimator with every stratum under

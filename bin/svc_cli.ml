@@ -175,11 +175,11 @@ let eval_cmd =
     (* --stats reads its durations off the spans, so it records them too *)
     let tel = Telemetry.create ~enabled:(trace <> None || stats <> None) () in
     let e = Engine.create ~tel ?cache_capacity ~jobs ~backend q db in
-    (match Engine.plan e with
-     | Some pl when Engine.auto_selected e ->
-       Printf.printf
-         "note: auto-selected circuit backend (%s); --backend overrides\n"
-         (Plan.recommend_reason pl ~n_facts:(Database.size_endo db))
+    (* below the floor in facts there is nothing for the rule to decide *)
+    (match Engine.auto_reason e with
+     | Some reason when Database.size_endo db >= Plan.min_circuit_facts ->
+       Printf.printf "note: auto-selected %s backend (%s); --backend overrides\n"
+         (Engine.backend_name (Engine.backend e)) reason
      | _ -> ());
     if show_plan then begin
       let phi = Engine.lineage e in
@@ -248,7 +248,8 @@ let plan_cmd =
     let q = parse_query query_str in
     let phi = Lineage.lineage q db in
     let pl = Plan.analyze ~heuristic phi in
-    let n_facts = Database.size_endo db in
+    let players = Array.of_list (Database.endo_list db) in
+    let n_facts = Array.length players in
     let cert =
       match Plancheck.check phi pl with
       | Ok r -> Plancheck.report_to_string r
@@ -256,22 +257,34 @@ let plan_cmd =
         Printf.eprintf "svc plan: certificate verification FAILED: %s\n" msg;
         exit 1
     in
-    let backend = Engine.backend_name (Plan.recommend pl ~n_facts) in
+    let classes = Symmetry.detect ~players phi in
+    let classes_cert =
+      match Symmetry.check ~players phi (Symmetry.classes classes) with
+      | Ok r -> Symmetry.report_to_string r
+      | Error msg ->
+        Printf.eprintf "svc plan: class verification FAILED: %s\n" msg;
+        exit 1
+    in
+    let backend, reason =
+      Engine.auto_rule ~n_facts ~classes:(Symmetry.count classes) (Some pl)
+    in
+    let backend = Engine.backend_name backend in
     match format with
     | `Json ->
       Printf.printf
         "{\"query\":%s,\"n_facts\":%d,\"plan\":%s,\"certificate\":%s,\
-         \"recommended_backend\":%s}\n"
+         \"classes\":%d,\"classes_certificate\":%s,\"recommended_backend\":%s}\n"
         (Tracejson.quote (Query.to_string q)) n_facts (Plan.to_json pl)
-        (Tracejson.quote cert) (Tracejson.quote backend)
+        (Tracejson.quote cert) (Symmetry.count classes)
+        (Tracejson.quote classes_cert) (Tracejson.quote backend)
     | `Text ->
       Printf.printf "query   : %s\n" (Query.to_string q);
       Printf.printf "lineage : %d nodes over %d fact variables\n"
         (Bform.size phi) pl.Plan.n_vars;
       print_string (Plan.to_string pl);
       Printf.printf "certificate : %s\n" cert;
-      Printf.printf "recommended backend : %s (%s)\n" backend
-        (Plan.recommend_reason pl ~n_facts)
+      Printf.printf "classes : %s\n" classes_cert;
+      Printf.printf "recommended backend : %s (%s)\n" backend reason
   in
   let doc =
     "Static compilation plan for a (query, database) pair: AND-components \
@@ -432,13 +445,14 @@ let explain_cmd =
          supports;
        Printf.printf "\nfact contributions (Shapley | Banzhaf):\n";
        let e = Svc.engine q db in
-       let shapley = Engine.svc_all e in
+       let shapley = Engine.svc_all e and banzhaf = Engine.banzhaf_all e in
        List.iter
-         (fun (f, sv) ->
-            let bz = Engine.banzhaf e f in
+         (fun ((f, sv), (_, bz)) ->
             Printf.printf "  %-28s %-10s | %s\n" (Fact.to_string f)
               (Rational.to_string sv) (Rational.to_string bz))
-         (List.sort (fun (_, a) (_, b) -> Rational.compare b a) shapley);
+         (List.stable_sort
+            (fun ((_, a), _) ((_, b), _) -> Rational.compare b a)
+            (List.combine shapley banzhaf));
        let pr = Pqe.sppqe q db Rational.half in
        Printf.printf "\nrobustness: Pr(q | each endogenous fact present w.p. 1/2) = %s (≈ %.4f)\n"
          (Rational.to_string pr) (Rational.to_float pr))

@@ -19,12 +19,19 @@
 
    At [jobs > 1] the per-fact conditioning step — embarrassingly parallel,
    every fact's work reading only the shared immutable φ and the full
-   polynomial — fans out across [jobs] domains through [Pool].  The fact
-   array is cut into [jobs] static slices; slot i always evaluates slice i
-   with its own private [Compile.Memo] (a Memo is an unsynchronized
-   Hashtbl, so it must never be mutated from two domains), and each
-   result lands at its original index, so values and order are
-   bit-identical for every jobs count.
+   polynomial — fans out across [jobs] domains through [Pool].  The array
+   of class representatives (below) is cut into [jobs] static slices;
+   slot i always evaluates slice i with its own private [Compile.Memo] (a
+   Memo is an unsynchronized Hashtbl, so it must never be mutated from
+   two domains), and each value lands at its class members' original
+   indices, so values and order are bit-identical for every jobs count.
+
+   Under `Auto the engine first splits the players into classes of
+   interchangeable facts ([Symmetry]): by Shapley's symmetry axiom every
+   member of a class has its representative's value, so every path
+   (serial, the parallel fan-out, single-fact [svc]/[banzhaf]) evaluates
+   representatives only and copies each value to its class.  Explicit
+   backends keep one class per fact.
 
    Claim A.1 per fact is written once: [with_mu_exo] conditions φ against
    the memo it is given (the shared one serially, a worker slot's copy in
@@ -46,7 +53,8 @@ type t = {
   requested : backend; (* as asked — re-resolved after a delta update *)
   backend : [ `Conditioning | `Circuit | `Sample of Sample.config ];
   (* resolved *)
-  auto_selected : bool; (* resolution picked `Circuit without being asked *)
+  auto_reason : string option; (* the `Auto rule that fired, with its numbers *)
+  classes : Symmetry.t; (* interchangeable players; singletons unless `Auto *)
   plan : Plan.t option; (* the compilation plan that steered resolution *)
   session : Circuit.Session.t option;
   (* shared compilation arena across delta updates; [None] until the
@@ -67,6 +75,33 @@ type t = {
 
 let default_cache_capacity = 1 lsl 20
 
+(* The one `Auto rule.  Below [Plan.min_circuit_facts] classes,
+   conditioning once per class wins without a plan; above it the plan's
+   predicted circuit size decides.  With no plan (a parallel engine),
+   conditioning fans the classes out. *)
+let auto_rule ~n_facts ~classes plan =
+  let among =
+    Printf.sprintf "%d class%s of interchangeable facts among %d endogenous \
+                    fact%s"
+      classes (if classes = 1 then "" else "es") n_facts
+      (if n_facts = 1 then "" else "s")
+  in
+  if classes < Plan.min_circuit_facts then
+    ( `Conditioning,
+      Printf.sprintf "%s < %d: conditioning once per class" among
+        Plan.min_circuit_facts )
+  else
+    match plan with
+    | None -> (`Conditioning, among ^ ": conditioning once per class in parallel")
+    | Some pl ->
+      let backend = Plan.recommend pl ~n_facts:classes in
+      ( backend,
+        Printf.sprintf "~%d predicted nodes (width %d) %s the %d-node budget \
+                        for %s"
+          pl.Plan.predicted_nodes pl.Plan.max_width
+          (match backend with `Circuit -> "within" | `Conditioning -> "exceed")
+          Plan.circuit_node_budget among )
+
 let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     db =
   (* registered here, in this order: record-field evaluation order is
@@ -78,12 +113,20 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
   let phi = Telemetry.span tel "engine.lineage" (fun () -> Lineage.lineage query db) in
   let players = Array.of_list (Database.endo_list db) in
   let n = Array.length players in
+  let classes =
+    match requested with
+    | `Auto ->
+      Telemetry.span tel "engine.classes" (fun () ->
+          Symmetry.detect ~players phi)
+    | `Conditioning | `Circuit | `Sample _ -> Symmetry.discrete players
+  in
   (* The plan is computed exactly when something will read it: to steer
-     an explicit circuit compilation, or to resolve a serial `Auto.  A
-     parallel `Auto never plans: the circuit evaluator is a whole-universe
-     pass with nothing per-fact to fan out, so at jobs > 1 the ask for
-     parallel conditioning wins.  After a delta update the previous plan
-     seeds a component-local replan instead of a fresh analysis. *)
+     an explicit circuit compilation, or to resolve a serial `Auto with
+     enough classes for the plan to decide.  A parallel `Auto never
+     plans: the circuit evaluator is a whole-universe pass with nothing
+     per-fact to fan out, so at jobs > 1 the ask for parallel
+     conditioning wins.  After a delta update the previous plan seeds a
+     component-local replan instead of a fresh analysis. *)
   let analyze () =
     match prev_plan with
     | Some previous -> fst (Plan.replan ~tel ~previous phi)
@@ -92,20 +135,22 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
   let plan =
     match requested with
     | `Circuit -> Some (analyze ())
-    | `Auto when jobs = 1 -> Some (analyze ())
+    | `Auto when jobs = 1 && Symmetry.count classes >= Plan.min_circuit_facts ->
+      Some (analyze ())
     | `Auto | `Conditioning | `Sample _ -> None
   in
-  let resolved, auto_selected =
+  let resolved, auto_reason =
     match requested with
-    | `Conditioning -> (`Conditioning, false)
-    | `Circuit -> (`Circuit, false)
+    | `Conditioning -> (`Conditioning, None)
+    | `Circuit -> (`Circuit, None)
     (* never auto-selected: an approximate answer must be asked for *)
-    | `Sample cfg -> Sample.validate cfg; (`Sample cfg, false)
+    | `Sample cfg -> Sample.validate cfg; (`Sample cfg, None)
     | `Auto ->
-      (match plan with
-       | Some pl when Plan.recommend pl ~n_facts:n = `Circuit ->
-         (`Circuit, true)
-       | _ -> (`Conditioning, false))
+      let backend, reason =
+        auto_rule ~n_facts:n ~classes:(Symmetry.count classes) plan
+      in
+      ((backend :> [ `Conditioning | `Circuit | `Sample of Sample.config ]),
+       Some reason)
   in
   {
     query;
@@ -116,7 +161,8 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     cache_capacity;
     requested;
     backend = resolved;
-    auto_selected;
+    auto_reason;
+    classes;
     plan;
     session;
     phi;
@@ -201,7 +247,8 @@ let backend_name = function
   | `Circuit -> "circuit"
   | `Sample _ -> "sample"
 
-let auto_selected t = t.auto_selected
+let auto_reason t = t.auto_reason
+let classes t = t.classes
 let plan t = t.plan
 
 let circuit_reused_nodes t =
@@ -333,8 +380,9 @@ let fact_span t mu f =
     Telemetry.span t.tel ~attrs:[ ("fact", Fact.to_string mu) ] "engine.fact" f
   else f ()
 
-(* The exact value of players.(i) on the serial path.  The full
-   polynomial is forced before the fact's own conditioning. *)
+(* The exact value of players.(i) on the serial path, for a class
+   representative.  The full polynomial is forced before the fact's own
+   conditioning. *)
 let exact_value t which i =
   let mu = t.players.(i) in
   fact_span t mu (fun () ->
@@ -347,27 +395,36 @@ let exact_value t which i =
         Telemetry.Counter.incr t.conditionings;
         value t which ~full (with_mu_exo t ~memo:t.memo mu))
 
+(* One value per class, in class order, copied to every player. *)
+let spread t class_values =
+  Array.to_list
+    (Array.mapi
+       (fun i f -> (f, class_values.(Symmetry.class_of t.classes i)))
+       t.players)
+
 (* The single-fact entry point behind [svc] and [banzhaf]. *)
 let value_of_fact t which ~name mu =
-  if not (Database.mem_endo mu t.db) then
-    invalid_arg (name ^ ": fact is not endogenous");
-  let rec index i = if Fact.equal t.players.(i) mu then i else index (i + 1) in
-  let i = index 0 in
-  match t.backend with
-  | `Sample cfg -> (sample_run t cfg ~which).Sample.estimates.(i).Sample.value
-  | `Conditioning | `Circuit -> exact_value t which i
+  match Symmetry.position t.classes mu with
+  | None -> invalid_arg (name ^ ": fact is not endogenous")
+  | Some i ->
+    (match t.backend with
+     | `Sample cfg -> (sample_run t cfg ~which).Sample.estimates.(i).Sample.value
+     | `Conditioning | `Circuit ->
+       exact_value t which
+         (Symmetry.representative t.classes (Symmetry.class_of t.classes i)))
 
-(* The parallel batched path: fan the per-fact conditioning out across
-   [t.jobs] domains.  Slot i owns the static slice [i·n/jobs, (i+1)·n/jobs)
-   of the fact array and a private memo cache; the pool decides which
-   domain runs which slot (stealing slots off slow siblings), which can
-   change the steal counters but — by slice/cache ownership — never the
-   per-slot counters, let alone a value.  Workers touch no engine state:
-   they read the immutable φ, players and full polynomial, and everything
-   mutable is merged in the calling domain after the join. *)
+(* The parallel batched path: fan the per-class conditioning out across
+   [t.jobs] domains.  Slot i owns the static slice [i·k/jobs, (i+1)·k/jobs)
+   of the k class representatives and a private memo cache; the pool
+   decides which domain runs which slot (stealing slots off slow
+   siblings), which can change the steal counters but — by slice/cache
+   ownership — never the per-slot counters, let alone a value.  Workers
+   touch no engine state: they read the immutable φ, players and full
+   polynomial, and everything mutable is merged in the calling domain
+   after the join.  Returns one value per class. *)
 let batched_parallel t which =
   let full = full_polynomial t in
-  let n = t.n and jobs = t.jobs in
+  let k = Symmetry.count t.classes and jobs = t.jobs in
   (* One trace track per worker slot: slice spans land on the lane of the
      slot that owns them, giving the Chrome view one row per domain.
      Forked here (the owning domain), handed to exactly one worker each,
@@ -378,7 +435,7 @@ let batched_parallel t which =
           ~name:(Printf.sprintf "domain %d" slot))
   in
   let evaluate_slot slot =
-    let lo = slot * n / jobs and hi = (slot + 1) * n / jobs in
+    let lo = slot * k / jobs and hi = (slot + 1) * k / jobs in
     let stel = slot_tels.(slot) in
     Telemetry.span stel
       ~attrs:
@@ -397,9 +454,9 @@ let batched_parallel t which =
        gone. *)
     let memo = Compile.Memo.copy t.memo in
     let values =
-      Array.init (hi - lo) (fun k ->
-          let mu = t.players.(lo + k) in
-          (mu, value t which ~full (with_mu_exo t ~memo mu)))
+      Array.init (hi - lo) (fun c ->
+          let mu = t.players.(Symmetry.representative t.classes (lo + c)) in
+          value t which ~full (with_mu_exo t ~memo mu))
     in
     (values, hi - lo, Compile.Memo.hits memo, Compile.Memo.misses memo)
   in
@@ -408,7 +465,7 @@ let batched_parallel t which =
     Pool.map_stats ~chunk:1 pool evaluate_slot (Array.init jobs Fun.id)
   in
   Array.iter (fun stel -> Telemetry.join t.tel stel) slot_tels;
-  Telemetry.Counter.add t.conditionings n;
+  Telemetry.Counter.add t.conditionings k;
   Telemetry.span t.tel "engine.merge" (fun () ->
       t.par <-
         Array.mapi
@@ -416,9 +473,7 @@ let batched_parallel t which =
              { Stats.d_facts = facts; d_hits = hits; d_misses = misses;
                d_steals = pool_stats.Pool.steals.(i) })
           slots;
-      Array.to_list
-        (Array.concat
-           (List.map (fun (vs, _, _, _) -> vs) (Array.to_list slots))))
+      Array.concat (List.map (fun (vs, _, _, _) -> vs) (Array.to_list slots)))
 
 (* The batched entry point behind [svc_all] and [banzhaf_all]. *)
 let values t which =
@@ -428,9 +483,11 @@ let values t which =
     let r = sample_run t cfg ~which in
     Array.to_list
       (Array.map (fun e -> (e.Sample.fact, e.Sample.value)) r.Sample.estimates)
-  | `Conditioning when t.jobs > 1 -> batched_parallel t which
+  | `Conditioning when t.jobs > 1 -> spread t (batched_parallel t which)
   | `Conditioning | `Circuit ->
-    Array.to_list (Array.mapi (fun i f -> (f, exact_value t which i)) t.players)
+    spread t
+      (Array.init (Symmetry.count t.classes) (fun c ->
+           exact_value t which (Symmetry.representative t.classes c)))
 
 let svc t mu = value_of_fact t `Shapley ~name:"Engine.svc" mu
 let banzhaf t mu = value_of_fact t `Banzhaf ~name:"Engine.banzhaf" mu

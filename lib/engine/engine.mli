@@ -14,7 +14,10 @@
       structurally-hashed cache ({!Compile.Memo}) — they overlap massively
       across facts;
     - the Shapley coefficients [j!(n-j-1)!/n!] read off a factorial table
-      precomputed once ({!Bigint.factorial_table}).
+      precomputed once ({!Bigint.factorial_table});
+    - under [`Auto], one evaluation per class of interchangeable facts
+      ({!Symmetry}): by Shapley's symmetry axiom every member of a class
+      has its representative's value, which is copied to it.
 
     {2 Parallelism}
 
@@ -30,11 +33,13 @@
     calling domain (the serial path, the full polynomial, per-fact
     {!svc}/{!banzhaf} calls); a parallel batched run gives each worker
     slot a {e private} cache of the same capacity, created and dropped
-    inside the run.  Worker slots own static slices of the fact array
-    ([slot i] evaluates facts [i·n/jobs, (i+1)·n/jobs)) and each result
-    is written back at the fact's original index, so output order and
-    values are bit-identical for every [jobs] — only wall clock and the
-    scheduling counters ({!Stats.domain_stat}) can differ.
+    inside the run.  Worker slots own static slices of the [k] class
+    representatives ([slot i] evaluates representatives
+    [i·k/jobs, (i+1)·k/jobs); [k = n] unless [`Auto] merged facts) and
+    each value is copied to every member of its class at the members'
+    original indices, so output order and values are bit-identical for
+    every [jobs] — only wall clock and the scheduling counters
+    ({!Stats.domain_stat}) can differ.
 
     Every call is instrumented; see {!Stats}. *)
 
@@ -51,12 +56,20 @@ type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
       decomposable NNF circuit ({!Circuit}) and read {e every} fact's
       polynomial off it with one bottom-up + one top-down traversal — no
       per-fact conditioning at all;
-    - [`Auto] (the default): cost-based.  A serial instance is analyzed
-      by the compilation planner ({!Plan.analyze}) and gets [`Circuit]
-      exactly when {!Plan.recommend} predicts the compiled circuit fits
-      the node budget (the prediction comes from the lineage's induced
-      width, so dense co-occurrence graphs fall back to conditioning no
-      matter how many facts they have); [`Conditioning] at [jobs > 1];
+    - [`Auto] (the default): per class, cost-based ({!auto_rule}).  The
+      players are first split into classes of interchangeable facts
+      ({!Symmetry.detect}, in an [engine.classes] span), and only one
+      representative per class is evaluated.  Below
+      {!Plan.min_circuit_facts} classes it conditions once per class
+      without planning (every hierarchical star lands here: hub and
+      spokes are two classes).  Above the floor a serial instance is
+      analyzed by the compilation planner ({!Plan.analyze}) and gets
+      [`Circuit] exactly when {!Plan.recommend} predicts the compiled
+      circuit fits the node budget (the prediction comes from the
+      lineage's induced width, so dense co-occurrence graphs fall back to
+      conditioning no matter how many facts they have); [`Conditioning]
+      at [jobs > 1].  Explicit [`Conditioning] and [`Circuit] stay per
+      fact: they are the references [`Auto] is checked against;
     - [`Sample cfg]: the anytime sampling estimator ({!Sample}) — the
       only {e approximate} backend, and therefore never auto-selected:
       every answer carries a seeded-deterministic estimate whose
@@ -86,10 +99,11 @@ val create :
     the [engine.compilations]/[engine.conditionings] counters live in its
     registry — {!stats} is a projection of it, not a separate record —
     and, when enabled, the run is recorded as spans: [engine.lineage]
-    (the one compilation), [engine.eval] per batched entry point,
-    [engine.full] (the unconditioned polynomial), [engine.fact] per
-    fact on the serial path, [engine.slice] per worker slot on track
-    [slot + 1] at [jobs > 1] (one Chrome lane per domain), and
+    (the one compilation), [engine.classes] (class detection, [`Auto]
+    only), [engine.eval] per batched entry point, [engine.full] (the
+    unconditioned polynomial), [engine.fact] per evaluated class
+    representative on the serial path, [engine.slice] per worker slot
+    on track [slot + 1] at [jobs > 1] (one Chrome lane per domain), and
     [engine.merge] for the deterministic merge; the circuit backend adds
     {!Circuit}'s [circuit.*] spans, counters and gauges.
     @raise Invalid_argument if [jobs < 0]. *)
@@ -149,15 +163,30 @@ val sample_report : t -> Sample.report option
     Carries per-fact confidence intervals, draw counts and convergence
     flags — the data behind {!Stats.Sample} in {!stats}. *)
 
-val auto_selected : t -> bool
-(** [true] iff [`Auto] resolution picked the circuit backend (lets the
-    CLI announce the switch). *)
+val auto_rule :
+  n_facts:int -> classes:int -> Plan.t option -> [ `Circuit | `Conditioning ] * string
+(** The one [`Auto] rule, with a one-line reason naming the class count:
+    [`Conditioning] once per class below {!Plan.min_circuit_facts}
+    classes or without a plan (a parallel engine), otherwise
+    {!Plan.recommend} on the plan with [~n_facts:classes].  {!create}
+    resolves [`Auto] through it; [svc plan] prints it. *)
+
+val auto_reason : t -> string option
+(** The reason {!auto_rule} gave when this engine resolved [`Auto];
+    [None] for an explicit backend. *)
+
+val classes : t -> Symmetry.t
+(** The classes of interchangeable players the engine evaluates once
+    each: {!Symmetry.detect}'s partition under [`Auto], one class per
+    fact otherwise.  It also indexes the players for {!svc} and
+    {!banzhaf}. *)
 
 val plan : t -> Plan.t option
 (** The compilation plan computed at {!create} time: present for an
-    explicit [`Circuit] backend and for a serial [`Auto] (where it
-    decided the resolution and will steer any circuit compilation);
-    absent for [`Conditioning], [`Sample] and parallel [`Auto] engines. *)
+    explicit [`Circuit] backend and for a serial [`Auto] with at least
+    {!Plan.min_circuit_facts} classes (where it decided the resolution
+    and will steer any circuit compilation); absent for [`Conditioning],
+    [`Sample], parallel [`Auto] and few-class [`Auto] engines. *)
 
 val query : t -> Query.t
 val database : t -> Database.t
@@ -169,15 +198,20 @@ val lineage : t -> Bform.t
 (** The shared compiled lineage [φ]. *)
 
 val svc : t -> Fact.t -> Rational.t
-(** Shapley value by conditioning the shared lineage (Claim A.1).
+(** Shapley value by conditioning the shared lineage (Claim A.1), found
+    through the class index and evaluated on the fact's class
+    representative.
     @raise Invalid_argument if the fact is not endogenous. *)
 
 val svc_all : t -> (Fact.t * Rational.t) list
 (** Shapley values of all endogenous facts — one lineage compilation
-    total, [n + 1] conditioned counts (the full polynomial once, then one
-    conditioning per fact).  At [jobs > 1] the per-fact conditionings run
-    on [jobs] domains with private caches and a deterministic merge; the
-    result is identical to the [jobs = 1] output, in the same order. *)
+    total, then the full polynomial once and one conditioning per class
+    under [`Auto] ([k + 1] conditioned counts for [k] classes of
+    interchangeable facts, each value copied to its class), or one per
+    fact under an explicit [`Conditioning] ([n + 1]).  At [jobs > 1] the
+    conditionings run on [jobs] domains with private caches and a
+    deterministic merge; the result is identical to the [jobs = 1]
+    output, in the same order. *)
 
 val banzhaf : t -> Fact.t -> Rational.t
 (** Banzhaf value from the same conditioned polynomials (two GMC totals).

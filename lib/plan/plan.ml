@@ -405,21 +405,6 @@ let recommend t ~n_facts =
   then `Circuit
   else `Conditioning
 
-let recommend_reason t ~n_facts =
-  if n_facts < min_circuit_facts then
-    Printf.sprintf "%d endogenous facts < %d: conditioning wins on tiny \
-                    instances" n_facts min_circuit_facts
-  else if t.predicted_nodes > circuit_node_budget then
-    Printf.sprintf
-      "~%d predicted nodes exceed the %d-node budget (width %d): \
-       conditioning avoids the blow-up"
-      t.predicted_nodes circuit_node_budget t.max_width
-  else
-    Printf.sprintf
-      "~%d predicted nodes (width %d) within the %d-node budget for %d \
-       endogenous facts"
-      t.predicted_nodes t.max_width circuit_node_budget n_facts
-
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)

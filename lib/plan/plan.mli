@@ -136,11 +136,11 @@ val recommend : t -> n_facts:int -> [ `Circuit | `Conditioning ]
     width-bounded circuit beats [n_facts] conditioned counts; otherwise
     the predicted blow-up (or the tiny instance) favours conditioning. *)
 
-val recommend_reason : t -> n_facts:int -> string
-(** One line explaining {!recommend}'s verdict, for CLI notes. *)
-
 val min_circuit_facts : int
-(** Below this many endogenous facts conditioning always wins (8). *)
+(** Below this many endogenous facts conditioning always wins (8).  The
+    engine's [`Auto] rule ({!Engine.auto_rule}) counts classes of
+    interchangeable facts against it, since it conditions once per
+    class. *)
 
 val circuit_node_budget : int
 (** Predicted-node budget above which [`Auto] refuses to compile

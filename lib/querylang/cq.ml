@@ -100,7 +100,17 @@ let equal_atomsets (a : t) (b : t) = a = b
 
 let is_minimal q = equal_atomsets (core q) q
 
-let minimal_supports_in q facts = Homomorphism.minimal_images ~into:facts q
+(* On a self-join-free CQ every image has exactly |q| facts and
+   determines its valuation, so no image repeats or contains another: the
+   images in enumeration order are already the minimal supports. *)
+let minimal_supports_in q facts =
+  if is_self_join_free q then begin
+    let images = ref [] in
+    Homomorphism.iter_valuations ~into:facts q (fun s ->
+        images := Homomorphism.image s q :: !images);
+    List.rev !images
+  end
+  else Homomorphism.minimal_images ~into:facts q
 
 let homomorphic_to q q' =
   let canon', _ = canonical_support q' in

@@ -57,7 +57,11 @@ val canonical_support : ?prefix:string -> t -> Fact.Set.t * string Term.Smap.t
     this is a minimal support. *)
 
 val minimal_supports_in : t -> Fact.Set.t -> Fact.Set.t list
-(** All ⊆-minimal supports of [q] inside the given fact set. *)
+(** All ⊆-minimal supports of [q] inside the given fact set, in the order
+    {!Homomorphism.minimal_images} gives them.  On a self-join-free [q]
+    these are the homomorphic images in enumeration order: each has
+    exactly [|q|] facts and determines its valuation, so the dedup and
+    subset filters are skipped. *)
 
 val homomorphic_to : t -> t -> bool
 (** [homomorphic_to q q'] iff there is a query homomorphism [q → q']

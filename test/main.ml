@@ -14,6 +14,7 @@ let () =
       ("graph-queries", Test_graph_queries.suite);
       ("query", Test_query.suite);
       ("lineage", Test_lineage.suite);
+      ("symmetry", Test_symmetry.suite);
       ("counting", Test_counting.suite);
       ("safe-plan", Test_safe_plan.suite);
       ("lifted", Test_lifted.suite);

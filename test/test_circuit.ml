@@ -151,26 +151,39 @@ let test_no_conditioning () =
   Alcotest.(check int) "still zero conditionings" 0 s2.Stats.conditionings;
   Alcotest.(check bool) "same circuit" true (s.Stats.backend = s2.Stats.backend)
 
-(* `Auto resolution: circuit iff serial and the planner predicts a small
-   circuit, which a star of this size gets *)
+(* `Auto resolution: circuit iff serial, past the class floor, and the
+   planner predicts a small circuit, which a complete q_RST grid (24
+   facts, no two interchangeable) gets; a star is two classes (hub and
+   spokes) at any size, so it conditions once per class without a plan *)
 let test_auto_selection () =
   let q = Query_parse.parse "R(?x), S(?x,?y)" in
-  let big = Gen.star ~spokes:26 in
+  let big = Gen.bipartite ~rows:4 in
+  let star = Gen.star ~spokes:26 in
   let small = Gen.star ~spokes:4 in
-  let e_big = Engine.create q big in
+  let e_big = Engine.create qrst big in
+  Alcotest.(check int) "grid: one class per fact" (Database.size_endo big)
+    (Symmetry.count (Engine.classes e_big));
   Alcotest.(check bool) "big serial → circuit" true
-    (Engine.backend e_big = `Circuit && Engine.auto_selected e_big);
-  let e_par = Engine.create ~jobs:2 q big in
+    (Engine.backend e_big = `Circuit && Engine.auto_reason e_big <> None);
+  let e_par = Engine.create ~jobs:2 qrst big in
   Alcotest.(check bool) "big parallel → conditioning" true
-    (Engine.backend e_par = `Conditioning && not (Engine.auto_selected e_par));
+    (Engine.backend e_par = `Conditioning && Engine.plan e_par = None);
+  let e_star = Engine.create q star in
+  Alcotest.(check bool) "star → conditioning per class, unplanned" true
+    (Engine.backend e_star = `Conditioning
+     && Engine.plan e_star = None
+     && Symmetry.count (Engine.classes e_star) = 2);
   let e_small = Engine.create q small in
   Alcotest.(check bool) "small → conditioning" true
     (Engine.backend e_small = `Conditioning);
-  let e_forced = Engine.create ~backend:`Conditioning q big in
+  let e_forced = Engine.create ~backend:`Conditioning qrst big in
   Alcotest.(check bool) "forced conditioning sticks" true
-    (Engine.backend e_forced = `Conditioning && not (Engine.auto_selected e_forced));
+    (Engine.backend e_forced = `Conditioning && Engine.auto_reason e_forced = None);
   Alcotest.(check bool) "auto = explicit circuit" true
-    (values_equal (Engine.svc_all e_big) (Engine.svc_all (Engine.create ~backend:`Circuit q big)))
+    (values_equal (Engine.svc_all e_big) (Engine.svc_all (Engine.create ~backend:`Circuit qrst big)));
+  Alcotest.(check bool) "star: auto = explicit circuit" true
+    (values_equal (Engine.svc_all e_star)
+       (Engine.svc_all (Engine.create ~backend:`Circuit q star)))
 
 (* a bounded circuit compile cache changes counters, never answers *)
 let test_bounded_circuit_cache () =

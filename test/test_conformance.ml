@@ -3,9 +3,10 @@
    For EVERY registered workload family:
 
    - a qcheck sweep draws random (seed, size) instances and checks that
-     every backend — conditioning, circuit, and the sampling estimator
-     with every stratum under the exact cap — at jobs ∈ {1, 4} returns
-     exactly the serial conditioning values (facts, order, rationals);
+     every backend — auto (one evaluation per class of interchangeable
+     facts), conditioning, circuit, and the sampling estimator with every
+     stratum under the exact cap — at jobs ∈ {1, 4} returns exactly the
+     serial per-fact conditioning values (facts, order, rationals);
    - an exhaustive sweep enumerates EVERY partitioned database (each
      fact absent / endogenous / exogenous) over a small universe drawn
      from the family's own generator and cross-checks every backend
@@ -44,7 +45,9 @@ let size_range name =
 
 (* The backend × jobs matrix checked against serial conditioning. *)
 let matrix =
-  [ ("conditioning jobs=4", `Conditioning, 4);
+  [ ("auto jobs=1", `Auto, 1);
+    ("auto jobs=4", `Auto, 4);
+    ("conditioning jobs=4", `Conditioning, 4);
     ("circuit jobs=1", `Circuit, 1);
     ("circuit jobs=4", `Circuit, 4);
     ("sample-hybrid jobs=1", `Sample hybrid_exact, 1);

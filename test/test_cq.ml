@@ -142,6 +142,43 @@ let prop_core_equivalent =
        let q = Cq.of_atoms (List.init (1 + Workload.int r 3) (fun _ -> atom ())) in
        Cq.equivalent q (Cq.core q))
 
+(* Self-join-free CQs with constants: a nonempty subset of four
+   relations (bit mask), each atom's arguments drawn from three variables
+   and two constants. *)
+let sjf_cq mask picks =
+  let rels = [ ("R", 1); ("S", 2); ("T", 1); ("U", 2) ] in
+  let terms =
+    [| Term.var "x"; Term.var "y"; Term.var "z"; Term.const "1"; Term.const "2" |]
+  in
+  let picks = ref picks in
+  let next () =
+    match !picks with
+    | p :: rest -> picks := rest; terms.(p)
+    | [] -> terms.(0)
+  in
+  Cq.of_atoms
+    (List.filteri (fun i _ -> mask land (1 lsl i) <> 0) rels
+     |> List.map (fun (r, arity) -> Atom.make r (List.init arity (fun _ -> next ()))))
+
+(* the self-join-free shortcut returns Homomorphism.minimal_images list
+   for list: same supports, same order *)
+let prop_sjf_supports =
+  qcheck ~count:300 "self-join-free supports = minimal images, list for list"
+    QCheck2.Gen.(
+      triple (int_range 1 15) (list_repeat 6 (int_range 0 4)) Gen.seed_gen)
+    (fun (mask, picks, seed) ->
+       let q = sjf_cq mask picks in
+       let facts =
+         Database.all
+           (Gen.random_db
+              ~rels:[ ("R", 1); ("S", 2); ("T", 1); ("U", 2) ]
+              ~consts:[ "1"; "2"; "3" ] ~max_endo:10 seed)
+       in
+       Cq.is_self_join_free q
+       && List.equal Fact.Set.equal
+            (Cq.minimal_supports_in q facts)
+            (Homomorphism.minimal_images ~into:facts (Cq.atoms q)))
+
 let suite =
   [
     Alcotest.test_case "parse and print" `Quick test_parse_print;
@@ -157,4 +194,5 @@ let suite =
     Alcotest.test_case "rename apart" `Quick test_rename_apart;
     prop_eval_monotone;
     prop_core_equivalent;
+    prop_sjf_supports;
   ]

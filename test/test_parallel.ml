@@ -158,12 +158,13 @@ let test_determinism_regression () =
     r1 r2
 
 (* the parallel stats contract: every fact evaluated exactly once across
-   the domain slots, n+1 conditionings as in the serial engine, one slot
-   record per worker *)
+   the domain slots under the explicit conditioning backend, n+1
+   conditionings as in the serial engine, one slot record per worker;
+   under `Auto the slots share out the class representatives instead *)
 let test_parallel_stats_shape () =
   let db = Gen.star ~spokes:9 in
   let q = Query_parse.parse "R(?x), S(?x,?y)" in
-  let e = Engine.create ~jobs:4 q db in
+  let e = Engine.create ~jobs:4 ~backend:`Conditioning q db in
   ignore (Engine.svc_all e);
   let s = Engine.stats e in
   let n = Database.size_endo db in
@@ -175,7 +176,18 @@ let test_parallel_stats_shape () =
   Alcotest.(check int) "every fact evaluated once" n (Stats.par_facts s);
   Alcotest.(check int) "one compilation" 1 s.Stats.compilations;
   Alcotest.(check int) "n+1 conditionings" (n + 1) s.Stats.conditionings;
-  Alcotest.(check bool) "per-domain caches did work" true (Stats.par_misses s > 0)
+  Alcotest.(check bool) "per-domain caches did work" true (Stats.par_misses s > 0);
+  let auto = Engine.create ~jobs:4 q db in
+  let values = Engine.svc_all auto in
+  let s = Engine.stats auto in
+  Alcotest.(check int) "auto: hub and spokes are two classes" 2
+    (Symmetry.count (Engine.classes auto));
+  Alcotest.(check int) "auto: every class evaluated once" 2 (Stats.par_facts s);
+  Alcotest.(check int) "auto: classes+1 conditionings" 3 s.Stats.conditionings;
+  Alcotest.(check bool) "auto: same values" true
+    (List.for_all2
+       (fun (f, v) (f', v') -> Fact.equal f f' && Rational.equal v v')
+       values (Engine.svc_all e))
 
 (* ------------------------------------------------------------------ *)
 (* Compile padding-polynomial memoization is referentially transparent *)
