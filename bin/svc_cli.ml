@@ -436,26 +436,38 @@ let explain_cmd =
     Printf.printf "complexity of SVC: %s — %s\n\n"
       (Classify.verdict_to_string j.Classify.verdict)
       j.Classify.rule;
-    (match Query.minimal_supports_in q (Database.all db) with
-     | [] -> Printf.printf "no minimal supports: the query is not satisfied.\n"
-     | supports ->
-       Printf.printf "minimal supports (%d):\n" (List.length supports);
-       List.iter
-         (fun s -> Printf.printf "  %s\n" (Format.asprintf "%a" Fact.Set.pp s))
-         supports;
-       Printf.printf "\nfact contributions (Shapley | Banzhaf):\n";
-       let e = Svc.engine q db in
-       let shapley = Engine.svc_all e and banzhaf = Engine.banzhaf_all e in
-       List.iter
-         (fun ((f, sv), (_, bz)) ->
-            Printf.printf "  %-28s %-10s | %s\n" (Fact.to_string f)
-              (Rational.to_string sv) (Rational.to_string bz))
-         (List.stable_sort
-            (fun ((_, a), _) ((_, b), _) -> Rational.compare b a)
-            (List.combine shapley banzhaf));
-       let pr = Pqe.sppqe q db Rational.half in
-       Printf.printf "\nrobustness: Pr(q | each endogenous fact present w.p. 1/2) = %s (≈ %.4f)\n"
-         (Rational.to_string pr) (Rational.to_float pr))
+    (* the subset search behind CRPQs, UCRPQs, CQ¬ and GCQs refuses
+       over 20 facts: say so and go on to the values *)
+    let show_values =
+      match Query.minimal_supports_in q (Database.all db) with
+      | [] ->
+        Printf.printf "no minimal supports: the query is not satisfied.\n";
+        false
+      | supports ->
+        Printf.printf "minimal supports (%d):\n" (List.length supports);
+        List.iter
+          (fun s -> Printf.printf "  %s\n" (Format.asprintf "%a" Fact.Set.pp s))
+          supports;
+        true
+      | exception Invalid_argument msg ->
+        Printf.printf "minimal supports: not listed (%s)\n" msg;
+        true
+    in
+    if show_values then begin
+      Printf.printf "\nfact contributions (Shapley | Banzhaf):\n";
+      let e = Svc.engine q db in
+      let shapley = Engine.svc_all e and banzhaf = Engine.banzhaf_all e in
+      List.iter
+        (fun ((f, sv), (_, bz)) ->
+           Printf.printf "  %-28s %-10s | %s\n" (Fact.to_string f)
+             (Rational.to_string sv) (Rational.to_string bz))
+        (List.stable_sort
+           (fun ((_, a), _) ((_, b), _) -> Rational.compare b a)
+           (List.combine shapley banzhaf));
+      let pr = Pqe.sppqe q db Rational.half in
+      Printf.printf "\nrobustness: Pr(q | each endogenous fact present w.p. 1/2) = %s (≈ %.4f)\n"
+        (Rational.to_string pr) (Rational.to_float pr)
+    end
   in
   let doc =
     "One-stop explanation report: answer, complexity verdict, minimal \
@@ -693,14 +705,6 @@ let serve_cmd =
     Arg.(value & opt int Frame.default_max_len
          & info [ "max-frame" ] ~docv:"BYTES" ~doc)
   in
-  let journal_arg =
-    let doc =
-      "Changes per database kept replayable for delta updates before a \
-       stale engine recompiles from scratch."
-    in
-    Arg.(value & opt int Server.default_journal_limit
-         & info [ "journal-limit" ] ~docv:"N" ~doc)
-  in
   let fake_clock_arg =
     let doc =
       "Run telemetry on a deterministic fake clock advanced by 1ms per \
@@ -708,7 +712,7 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "fake-clock" ] ~doc)
   in
-  let run dbs capacity jobs max_frame journal fake_clock =
+  let run dbs capacity jobs max_frame fake_clock =
     let tel, on_frame =
       if fake_clock then begin
         let clock, advance = Telemetry.Clock.fake () in
@@ -718,7 +722,7 @@ let serve_cmd =
     in
     let server =
       try
-        Server.create ~tel ~capacity ~max_frame ~journal_limit:journal ~jobs ()
+        Server.create ~tel ~capacity ~max_frame ~jobs ()
       with Invalid_argument msg ->
         Printf.eprintf "svc serve: %s\n" msg;
         exit 2
@@ -754,13 +758,15 @@ let serve_cmd =
   let doc =
     "Serve SVC over length-prefixed JSON frames on stdin/stdout: a hot \
      per-(query,db) compilation cache with LRU eviction and delta \
-     updates (insert/delete facts recompile only the affected \
-     sub-circuit).  Drive it with $(b,svc client encode)/$(b,decode); \
-     see README.md for the protocol reference."
+     updates (after insert/delete, a stale engine is rebuilt once over \
+     the current database, keeping its memo, circuit session and plan, \
+     so sub-circuits the writes did not touch are reused).  Drive it \
+     with $(b,svc client encode)/$(b,decode); see README.md for the \
+     protocol reference."
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ db_args $ capacity_arg $ jobs_arg $ max_frame_arg
-          $ journal_arg $ fake_clock_arg)
+          $ fake_clock_arg)
 
 let client_cmd =
   let encode_cmd =

@@ -66,7 +66,7 @@ let () =
    | Query.Rpq rpq ->
      List.iter
        (fun s -> Format.printf "  %a\n" Fact.Set.pp s)
-       (Lineage.rpq_minimal_supports rpq (Database.all db))
+       (Rpq.minimal_supports_in rpq (Database.all db))
    | _ -> ());
 
   (* probability that the connection survives if each link independently

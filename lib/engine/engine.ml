@@ -50,18 +50,20 @@ type t = {
   n : int;
   jobs : int;
   cache_capacity : int;
-  requested : backend; (* as asked — re-resolved after a delta update *)
+  requested : backend; (* as asked — re-resolved by [rebuild] *)
   backend : [ `Conditioning | `Circuit | `Sample of Sample.config ];
   (* resolved *)
   auto_reason : string option; (* the `Auto rule that fired, with its numbers *)
   classes : Symmetry.t; (* interchangeable players; singletons unless `Auto *)
   plan : Plan.t option; (* the compilation plan that steered resolution *)
   session : Circuit.Session.t option;
-  (* shared compilation arena across delta updates; [None] until the
-     first [update] (so one-shot engines keep their exporter output) *)
+  (* shared compilation arena across rebuilds; [None] until the first
+     [rebuild] (so one-shot engines keep their exporter output) *)
   phi : Bform.t;
   memo : Compile.Memo.t;
-  factorials : Bigint.t array; (* 0! .. n! *)
+  factorials : Bigint.t array Lazy.t;
+  (* 0! .. n!, built on the first Shapley value: [`Sample] engines and
+     Banzhaf-only runs never read it *)
   tel : Telemetry.t;
   compilations : Telemetry.Counter.t;
   conditionings : Telemetry.Counter.t;
@@ -125,7 +127,7 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
      enough classes for the plan to decide.  A parallel `Auto never
      plans: the circuit evaluator is a whole-universe pass with nothing
      per-fact to fan out, so at jobs > 1 the ask for parallel
-     conditioning wins.  After a delta update the previous plan seeds a
+     conditioning wins.  After a rebuild the previous plan seeds a
      component-local replan instead of a fresh analysis. *)
   let analyze () =
     match prev_plan with
@@ -170,7 +172,7 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
       (match memo with
        | Some m -> m
        | None -> Compile.Memo.create ~capacity:cache_capacity ());
-    factorials = Bigint.factorial_table n;
+    factorials = lazy (Bigint.factorial_table n);
     tel;
     compilations;
     conditionings;
@@ -194,17 +196,35 @@ let create ?(tel = Telemetry.disabled ()) ?(cache_capacity = default_cache_capac
 
 type change = [ `Insert of [ `Endo | `Exo ] * Fact.t | `Delete of Fact.t ]
 
-(* A delta update recompiles the lineage (cheap — the quadratic work is
-   downstream) but carries over every reusable artifact: the shared memo
-   (sound across formulas — a cached polynomial counts over exactly its
-   formula's variables), the circuit session (hash-consed sub-circuits
-   untouched by the change come back as the same nodes), and the plan
-   (components the change did not touch replay their elimination
-   orders).  The per-answer caches (full polynomial, circuit evaluation,
-   sample reports) are invalidated wholesale by building a fresh [t]. *)
-let update t change =
+(* A rebuild recompiles the lineage over the new database (cheap — the
+   quadratic work is downstream) but carries over every reusable
+   artifact: the shared memo (sound across formulas — a cached polynomial
+   counts over exactly its formula's variables), the circuit session
+   (hash-consed sub-circuits the new database did not touch come back as
+   the same nodes), and the plan (components whose variables did not
+   change replay their elimination orders).  The per-answer caches (full
+   polynomial, circuit evaluation, sample reports) are invalidated
+   wholesale by building a fresh [t]. *)
+let rebuild t db =
   Telemetry.span t.tel "engine.update" @@ fun () ->
   Telemetry.Counter.incr (Telemetry.counter t.tel "engine.updates");
+  let session =
+    match t.session with
+    | Some s -> s
+    | None ->
+      let s = Circuit.Session.create () in
+      (* a circuit compiled before the first rebuild joins the arena so
+         the very next compile already reuses its nodes *)
+      (match t.circuit with
+       | Some c -> Circuit.session_adopt s c
+       | None -> ());
+      s
+  in
+  make ~tel:t.tel ~cache_capacity:t.cache_capacity ~jobs:t.jobs
+    ~requested:t.requested ~memo:(Some t.memo) ~session:(Some session)
+    ~prev_plan:t.plan t.query db
+
+let update t change =
   let db =
     match change with
     | `Insert (part, f) ->
@@ -218,21 +238,7 @@ let update t change =
         invalid_arg "Engine.update: deleted fact is not present";
       Database.remove f t.db
   in
-  let session =
-    match t.session with
-    | Some s -> s
-    | None ->
-      let s = Circuit.Session.create () in
-      (* a circuit compiled before the first update joins the arena so
-         the very next compile already reuses its nodes *)
-      (match t.circuit with
-       | Some c -> Circuit.session_adopt s c
-       | None -> ());
-      s
-  in
-  make ~tel:t.tel ~cache_capacity:t.cache_capacity ~jobs:t.jobs
-    ~requested:t.requested ~memo:(Some t.memo) ~session:(Some session)
-    ~prev_plan:t.plan t.query db
+  rebuild t db
 
 let query t = t.query
 let database t = t.db
@@ -339,8 +345,8 @@ let value t which ~full with_mu_exo =
   let without_mu = Poly.Z.sub full (Poly.Z.shift 1 with_mu_exo) in
   match which with
   | `Shapley ->
-    shapley_of_polynomials ~factorials:t.factorials ~with_mu_exo ~without_mu
-      ~n:t.n
+    shapley_of_polynomials ~factorials:(Lazy.force t.factorials) ~with_mu_exo
+      ~without_mu ~n:t.n
   | `Banzhaf ->
     let delta =
       Bigint.sub (Poly.Z.total with_mu_exo) (Poly.Z.total without_mu)
@@ -424,6 +430,9 @@ let value_of_fact t which ~name mu =
    after the join.  Returns one value per class. *)
 let batched_parallel t which =
   let full = full_polynomial t in
+  (* [Lazy.force] is not safe from two domains: the workers' [value] only
+     reads the table once it is forced here *)
+  if which = `Shapley then ignore (Lazy.force t.factorials);
   let k = Symmetry.count t.classes and jobs = t.jobs in
   (* One trace track per worker slot: slice spans land on the lane of the
      slot that owns them, giving the Chrome view one row per domain.

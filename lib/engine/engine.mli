@@ -14,7 +14,8 @@
       structurally-hashed cache ({!Compile.Memo}) — they overlap massively
       across facts;
     - the Shapley coefficients [j!(n-j-1)!/n!] read off a factorial table
-      precomputed once ({!Bigint.factorial_table});
+      ({!Bigint.factorial_table}) built once, on the first Shapley value
+      ([`Sample] engines and Banzhaf-only runs never build it);
     - under [`Auto], one evaluation per class of interchangeable facts
       ({!Symmetry}): by Shapley's symmetry axiom every member of a class
       has its representative's value, which is copied to it.
@@ -113,29 +114,35 @@ type change = [ `Insert of [ `Endo | `Exo ] * Fact.t | `Delete of Fact.t ]
     fact into the endogenous or exogenous part, or delete a present
     fact from whichever part holds it. *)
 
-val update : t -> change -> t
-(** Incremental recompilation after a delta.  Returns a {e new} engine
-    over the changed database whose answers are rationally equal to
-    [create]-ing from scratch — the differential identity the test
-    suite pins — but which reuses everything the change does not
-    invalidate:
+val rebuild : t -> Database.t -> t
+(** Catch-up recompilation over a new database.  Returns a {e new}
+    engine over [db], with the same query and settings, whose answers
+    are rationally equal to [create]-ing from scratch — the differential
+    identity the test suite pins — but which reuses everything the new
+    database does not invalidate:
 
     - the shared {!Compile.Memo} (sound across formulas: a cached
       polynomial counts over exactly its formula's variables);
     - the circuit compilation session, so a later circuit compile
-      resolves every hash-consed sub-circuit untouched by the change to
-      its existing arena node ({!Circuit.reused_nodes});
+      resolves every hash-consed sub-circuit the new database did not
+      touch to its existing arena node ({!Circuit.reused_nodes});
     - the compilation plan, replayed component-locally through
-      {!Plan.replan} — only components the change touched are
+      {!Plan.replan} — only components whose variables changed are
       re-ordered.
 
-    The original engine stays fully usable (its answers still describe
-    the old database).  Per-answer caches (full polynomial, circuit
-    evaluation, sample reports) start cold in the new engine; the
-    backend is re-resolved from the originally requested one, so an
-    [`Auto] engine may flip strategy as the instance grows or shrinks.
-    Runs in an [engine.update] span and bumps the [engine.updates]
-    counter (registered on first use).
+    Any number of writes separates [db] from {!database}: one rebuild
+    catches up with all of them, which is how [svc serve] refreshes a
+    stale cached engine.  The original engine stays fully usable (its
+    answers still describe the old database).  Per-answer caches (full
+    polynomial, circuit evaluation, sample reports) start cold in the new
+    engine; the backend is re-resolved from the originally requested
+    one, so an [`Auto] engine may flip strategy as the instance grows or
+    shrinks.  Runs in an [engine.update] span and bumps the
+    [engine.updates] counter (registered on first use). *)
+
+val update : t -> change -> t
+(** One write: validate [change] against {!database}, apply it, then
+    {!rebuild} over the changed database.
     @raise Invalid_argument on inserting a present fact or deleting an
     absent one. *)
 
@@ -143,7 +150,7 @@ val backend : t -> [ `Conditioning | `Circuit | `Sample of Sample.config ]
 (** The resolved backend. *)
 
 val requested_backend : t -> backend
-(** The backend as originally asked of {!create} (what {!update}
+(** The backend as originally asked of {!create} (what {!rebuild}
     re-resolves). *)
 
 val backend_name : [< backend ] -> string
@@ -152,9 +159,9 @@ val backend_name : [< backend ] -> string
 
 val circuit_reused_nodes : t -> int
 (** {!Circuit.reused_nodes} of the engine's compiled circuit: nodes
-    inherited from pre-update compiles through the shared session.  [0]
+    inherited from earlier compiles through the shared session.  [0]
     if no circuit was compiled or the engine never went through
-    {!update}. *)
+    {!rebuild}. *)
 
 val sample_report : t -> Sample.report option
 (** The cached report of the last sampled batched run ([None] unless the

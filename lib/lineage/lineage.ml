@@ -1,56 +1,4 @@
 (* ------------------------------------------------------------------ *)
-(* RPQ minimal supports via product-automaton walk enumeration          *)
-(* ------------------------------------------------------------------ *)
-
-module Iset = Set.Make (Int)
-
-let rpq_minimal_supports (q : Rpq.t) (facts : Fact.Set.t) : Fact.Set.t list =
-  let lang = Rpq.lang q and src = Rpq.src q and dst = Rpq.dst q in
-  if Regex.nullable lang && src = dst then [ Fact.Set.empty ]
-  else begin
-    let nfa = Nfa.of_regex lang in
-    (* indexed binary edges *)
-    let edges =
-      Fact.Set.fold
-        (fun f acc -> match Fact.args f with [ a; b ] -> (f, a, b) :: acc | _ -> acc)
-        facts []
-      |> Array.of_list
-    in
-    let out : (string, int list) Hashtbl.t = Hashtbl.create 16 in
-    Array.iteri
-      (fun i (_, a, _) ->
-         let prev = Option.value ~default:[] (Hashtbl.find_opt out a) in
-         Hashtbl.replace out a (i :: prev))
-      edges;
-    let results : Fact.Set.t list ref = ref [] in
-    let record used =
-      let support =
-        Iset.fold (fun i acc -> let f, _, _ = edges.(i) in Fact.Set.add f acc) used Fact.Set.empty
-      in
-      results := Fact.Set.add_distinct support !results
-    in
-    (* DFS over (node, nfa-state-set); a pair (edge, state-set) may appear at
-       most once on the current branch: a repeat means an excisable loop, so
-       every minimal support is still reached. *)
-    let rec go node set used path =
-      if node = dst && Nfa.is_accepting nfa set then record used;
-      let succ = Option.value ~default:[] (Hashtbl.find_opt out node) in
-      List.iter
-        (fun i ->
-           let f, _, b = edges.(i) in
-           let set' = Nfa.step nfa set (Fact.rel f) in
-           if not (Nfa.is_empty_set set') then begin
-             let key = (i, Nfa.set_elements set') in
-             if not (List.mem key path) then
-               go b set' (Iset.add i used) (key :: path)
-           end)
-        succ
-    in
-    go src (Nfa.start nfa) Iset.empty [];
-    Fact.Set.minimal !results
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Lineage                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -139,7 +87,7 @@ let crpq_lineage (crpq : Crpq.t) (db : Database.t) : Bform.t =
           Bform.conj
             (List.map
                (fun a ->
-                  of_supports db (rpq_minimal_supports (instantiate binding a) facts))
+                  of_supports db (Rpq.minimal_supports_in (instantiate binding a) facts))
                atoms))
        distinct)
 
@@ -199,7 +147,7 @@ let rec lineage (q : Query.t) (db : Database.t) : Bform.t =
   | Query.True -> Bform.tru
   | Query.Cq cq -> of_supports db (Cq.minimal_supports_in cq facts)
   | Query.Ucq ucq -> of_supports db (Ucq.minimal_supports_in ucq facts)
-  | Query.Rpq rpq -> of_supports db (rpq_minimal_supports rpq facts)
+  | Query.Rpq rpq -> of_supports db (Rpq.minimal_supports_in rpq facts)
   | Query.Crpq crpq -> crpq_lineage crpq db
   | Query.Ucrpq ucrpq ->
     Bform.disj (List.map (fun c -> lineage (Query.Crpq c) db) (Ucrpq.disjuncts ucrpq))

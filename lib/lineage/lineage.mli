@@ -8,8 +8,3 @@
     formula with negated fact variables. *)
 
 val lineage : Query.t -> Database.t -> Bform.t
-
-val rpq_minimal_supports : Rpq.t -> Fact.Set.t -> Fact.Set.t list
-(** Scalable minimal-support enumeration for RPQs by product-automaton walk
-    search (the generic subset enumeration of {!Query.minimal_supports_in}
-    is exponential in the database size). *)

@@ -174,25 +174,35 @@ let pick_min_degree alive adj =
     alive;
   !best
 
-let fill_of adj v =
-  let nbrs = Iset.elements adj.(v) in
-  let rec pairs = function
-    | [] -> 0
+(* The fill of [v] (pairs of its neighbours not yet adjacent), counted
+   only until it passes [bound]: past it, [v] cannot be the pick. *)
+let fill_upto adj v bound =
+  let rec pairs count = function
+    | [] -> count
     | a :: rest ->
-      List.fold_left
-        (fun acc b -> if Iset.mem b adj.(a) then acc else acc + 1)
-        0 rest
-      + pairs rest
+      let rec with_a count = function
+        | b :: bs when count <= bound ->
+          with_a (if Iset.mem b adj.(a) then count else count + 1) bs
+        | _ -> count
+      in
+      let count = with_a count rest in
+      if count > bound then count else pairs count rest
   in
-  pairs nbrs
+  pairs 0 (Iset.elements adj.(v))
 
+(* Minimum (fill, degree), ties to the smallest index.  The bound starts
+   at a minimum-degree vertex's fill, so a hub whose fill is quadratic in
+   its degree stops being counted as soon as it loses (on a star, at its
+   first pair of spokes). *)
 let pick_min_fill alive adj =
-  let best = ref (-1) and best_key = ref (max_int, max_int) in
+  let seed = pick_min_degree alive adj in
+  let best = ref seed
+  and best_key = ref (fill_upto adj seed max_int, Iset.cardinal adj.(seed)) in
   Array.iteri
     (fun i live ->
        if live then begin
-         let key = (fill_of adj i, Iset.cardinal adj.(i)) in
-         if key < !best_key then begin
+         let key = (fill_upto adj i (fst !best_key), Iset.cardinal adj.(i)) in
+         if key < !best_key || (key = !best_key && i < !best) then begin
            best := i;
            best_key := key
          end

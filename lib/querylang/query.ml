@@ -104,6 +104,7 @@ let minimal_supports_in q facts =
   | True -> [ Fact.Set.empty ]
   | Cq cq -> if Cq.eval cq facts then Cq.minimal_supports_in cq facts else []
   | Ucq ucq -> if Ucq.eval ucq facts then Ucq.minimal_supports_in ucq facts else []
+  | Rpq rpq -> Rpq.minimal_supports_in rpq facts
   | _ -> if eval q facts then generic_minimal_supports q facts else []
 
 let is_minimal_support q facts =

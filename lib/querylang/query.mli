@@ -42,8 +42,10 @@ val name : t -> string
 
 val minimal_supports_in : t -> Fact.Set.t -> Fact.Set.t list
 (** All ⊆-minimal subsets [S] of the given facts with [S ⊨ q], computed by
-    language-specific enumeration for (U)CQs and by subset search otherwise
-    (intended for small fact sets in the generic case). *)
+    language-specific enumeration for (U)CQs and RPQs
+    ({!Rpq.minimal_supports_in}) and by subset search otherwise.
+    @raise Invalid_argument when subset search would run over more than
+    20 facts. *)
 
 val fresh_support : t -> Fact.Set.t option
 (** A minimal support over fresh constants (and the query's own constants),

@@ -91,6 +91,57 @@ let fresh_path_support ?(min_len = 1) q =
     in
     Some (Fact.Set.of_list facts, word)
 
+(* Minimal supports by walk enumeration over the product of the graph
+   and the language's automaton: no subset enumeration, so no size
+   limit.  Supports come out in reverse order of first discovery. *)
+module Iset = Set.Make (Int)
+
+let minimal_supports_in q facts =
+  let lang = q.lang and src = q.src and dst = q.dst in
+  if Regex.nullable lang && src = dst then [ Fact.Set.empty ]
+  else begin
+    let nfa = Nfa.of_regex lang in
+    (* indexed binary edges *)
+    let edges =
+      Fact.Set.fold
+        (fun f acc -> match Fact.args f with [ a; b ] -> (f, a, b) :: acc | _ -> acc)
+        facts []
+      |> Array.of_list
+    in
+    let out : (string, int list) Hashtbl.t = Hashtbl.create 16 in
+    Array.iteri
+      (fun i (_, a, _) ->
+         let prev = Option.value ~default:[] (Hashtbl.find_opt out a) in
+         Hashtbl.replace out a (i :: prev))
+      edges;
+    let results : Fact.Set.t list ref = ref [] in
+    let record used =
+      let support =
+        Iset.fold (fun i acc -> let f, _, _ = edges.(i) in Fact.Set.add f acc) used Fact.Set.empty
+      in
+      results := Fact.Set.add_distinct support !results
+    in
+    (* DFS over (node, nfa-state-set); a pair (edge, state-set) may appear at
+       most once on the current branch: a repeat means an excisable loop, so
+       every minimal support is still reached. *)
+    let rec go node set used path =
+      if node = dst && Nfa.is_accepting nfa set then record used;
+      let succ = Option.value ~default:[] (Hashtbl.find_opt out node) in
+      List.iter
+        (fun i ->
+           let f, _, b = edges.(i) in
+           let set' = Nfa.step nfa set (Fact.rel f) in
+           if not (Nfa.is_empty_set set') then begin
+             let key = (i, Nfa.set_elements set') in
+             if not (List.mem key path) then
+               go b set' (Iset.add i used) (key :: path)
+           end)
+        succ
+    in
+    go src (Nfa.start nfa) Iset.empty [];
+    Fact.Set.minimal !results
+  end
+
 let is_pseudo_connected q = Words.exists_length_geq q.lang 2
 let dichotomy_hard q = Words.exists_length_geq q.lang 3
 

@@ -20,6 +20,14 @@ val eval : t -> Fact.Set.t -> bool
 (** Facts of arity other than 2 are ignored (graph queries live on binary
     schemas). *)
 
+val minimal_supports_in : t -> Fact.Set.t -> Fact.Set.t list
+(** The minimal supports of the query inside a fact set, by a walk of
+    the product of the graph and the language's automaton (the subset
+    enumeration behind {!Query.minimal_supports_in}'s other languages is
+    exponential in the fact count).  [[∅]] when [ε ∈ L] and [a = b], [[]]
+    when the query does not hold; each support once, in reverse order of
+    first discovery. *)
+
 val reachable_pairs : Regex.t -> Fact.Set.t -> (string * string) list
 (** All pairs [(c, d)] of constants of the fact set with [L(c, d)]
     witnessed inside it (the ε-pairs [(c, c)] are included when [ε ∈ L]). *)

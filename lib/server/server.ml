@@ -1,16 +1,16 @@
 (* The SVC serving loop: named databases, a bounded LRU of hot engines,
-   and journal-driven delta updates.
+   and delta updates.
 
    The unit of reuse is the compiled artifact, not the query text: an
    LRU entry key is (database name, query source, backend tag), and its
    engine carries the compiled lineage, the memo cache, the circuit
    session and the plan across requests.  Mutations ([insert]/[delete])
-   touch only the named database's state — they bump its version and
-   append to a bounded journal; engines catch up lazily on their next
-   [eval], replaying the journal through [Engine.update] (each replayed
-   change is a "delta update": sub-circuit and plan reuse instead of a
-   cold recompile).  An engine whose version fell off the journal
-   recompiles cold and counts as a miss.
+   touch only the named database's state — they are validated and
+   applied once, and bump its version; a stale engine catches up lazily
+   on its next [eval] with one [Engine.rebuild] over the current
+   database, however many writes it missed (a "delta update":
+   sub-circuit and plan reuse instead of a cold recompile).  Reloading a
+   database drops its cached engines, so they recompile cold.
 
    Batching: one [eval] computes (and caches) the whole [svc_all]
    answer; a request for specific facts is served by projection, so any
@@ -30,13 +30,7 @@ type entry = {
   mutable last_used : int;
 }
 
-type dbstate = {
-  mutable db : Database.t;
-  mutable version : int;
-  mutable journal : (int * Engine.change) list;
-      (* newest first; [(v, ch)] means applying [ch] produced version
-         [v]; truncated to [journal_limit] *)
-}
+type dbstate = { mutable db : Database.t; mutable version : int }
 
 type t = {
   tel : Telemetry.t;
@@ -44,7 +38,6 @@ type t = {
   entries : (string, entry) Hashtbl.t;
   capacity : int;
   max_frame : int;
-  journal_limit : int;
   jobs : int;
   engine_cache_capacity : int;
   mutable tick : int;
@@ -58,22 +51,17 @@ type t = {
 }
 
 let default_capacity = 8
-let default_journal_limit = 64
 
 let create ?(tel = Telemetry.disabled ()) ?(capacity = default_capacity)
-    ?(max_frame = Frame.default_max_len)
-    ?(journal_limit = default_journal_limit) ?(jobs = 1)
+    ?(max_frame = Frame.default_max_len) ?(jobs = 1)
     ?(engine_cache_capacity = 1 lsl 20) () =
   if capacity < 1 then invalid_arg "Server.create: capacity must be >= 1";
-  if journal_limit < 0 then
-    invalid_arg "Server.create: journal_limit must be >= 0";
   {
     tel;
     dbs = Hashtbl.create 16;
     entries = Hashtbl.create 16;
     capacity;
     max_frame;
-    journal_limit;
     jobs;
     engine_cache_capacity;
     tick = 0;
@@ -97,13 +85,15 @@ let cached_engines t = Hashtbl.length t.entries
 let load_db t ~name ~text =
   let db = Db_text.parse text in
   match Hashtbl.find_opt t.dbs name with
-  | None -> Hashtbl.replace t.dbs name { db; version = 0; journal = [] }
+  | None -> Hashtbl.replace t.dbs name { db; version = 0 }
   | Some ds ->
-    (* a wholesale reload is not a single-fact delta: bump past the
-       journal so stale engines recompile cold *)
+    (* a wholesale reload is not a write: drop the name's cached engines
+       so its next eval recompiles cold *)
     ds.db <- db;
     ds.version <- ds.version + 1;
-    ds.journal <- []
+    Hashtbl.filter_map_inplace
+      (fun _ e -> if e.e_db = name then None else Some e)
+      t.entries
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -173,21 +163,6 @@ let db_state t name =
   | Some ds -> ds
   | None -> rejectf "unknown_db" "no database named %S is loaded" name
 
-(* Journal changes strictly after [since], oldest first; [None] when the
-   gap is no longer covered (the entry must recompile cold). *)
-let pending ds ~since =
-  if ds.version = since then Some []
-  else begin
-    let rec collect acc = function
-      | (v, ch) :: rest when v > since -> collect ((v, ch) :: acc) rest
-      | _ -> acc
-    in
-    let changes = collect [] ds.journal in
-    if List.length changes = ds.version - since then
-      Some (List.map snd changes)
-    else None
-  end
-
 let evict_if_full t =
   if Hashtbl.length t.entries >= t.capacity then begin
     let victim = ref None in
@@ -204,11 +179,6 @@ let evict_if_full t =
     | None -> ()
   end
 
-let fresh_engine t ds ~backend ~query_src =
-  let query = Query_parse.parse query_src in
-  Engine.create ~tel:t.tel ~cache_capacity:t.engine_cache_capacity
-    ~jobs:t.jobs ~backend query ds.db
-
 (* hit / delta / miss resolution of the (db, query, backend) entry *)
 let entry_for t ~db_name ~query_src ~backend =
   let ds = db_state t db_name in
@@ -222,34 +192,23 @@ let entry_for t ~db_name ~query_src ~backend =
       Telemetry.Counter.incr t.hits;
       (e, "hit")
     | Some e ->
-      (match pending ds ~since:e.version with
-       | Some changes when changes <> [] ->
-         Telemetry.span t.tel "server.update" (fun () ->
-             List.iter
-               (fun ch ->
-                  e.engine <- Engine.update e.engine ch;
-                  Telemetry.Counter.incr t.deltas)
-               changes);
-         e.version <- ds.version;
-         e.values <- None;
-         (e, "delta")
-       | _ ->
-         Telemetry.Counter.incr t.misses;
-         e.engine <- fresh_engine t ds ~backend ~query_src;
-         e.version <- ds.version;
-         e.values <- None;
-         (e, "miss"))
+      (* stale after any number of writes: one rebuild catches up *)
+      Telemetry.Counter.incr t.deltas;
+      Telemetry.span t.tel "server.update" (fun () ->
+          e.engine <- Engine.rebuild e.engine ds.db);
+      e.version <- ds.version;
+      e.values <- None;
+      (e, "delta")
     | None ->
       Telemetry.Counter.incr t.misses;
       evict_if_full t;
+      let engine =
+        Engine.create ~tel:t.tel ~cache_capacity:t.engine_cache_capacity
+          ~jobs:t.jobs ~backend (Query_parse.parse query_src) ds.db
+      in
       let e =
-        {
-          e_db = db_name;
-          engine = fresh_engine t ds ~backend ~query_src;
-          version = ds.version;
-          values = None;
-          last_used = t.tick;
-        }
+        { e_db = db_name; engine; version = ds.version; values = None;
+          last_used = t.tick }
       in
       Hashtbl.replace t.entries key e;
       (e, "miss")
@@ -331,11 +290,6 @@ let apply_change t id req change =
   in
   ds.db <- db;
   ds.version <- ds.version + 1;
-  let journal = (ds.version, change) :: ds.journal in
-  ds.journal <-
-    (if List.length journal > t.journal_limit then
-       List.filteri (fun i _ -> i < t.journal_limit) journal
-     else journal);
   ok_frame id
     [
       ( "op",

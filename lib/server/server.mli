@@ -8,13 +8,16 @@
     - an [eval] against an up-to-date cached engine is a {e hit}: the
       whole batched answer is cached too, so repeated (even per-fact)
       questions cost a list projection;
-    - after [insert]/[delete] requests, a stale engine catches up by
-      replaying the database's change journal through {!Engine.update}
-      — a {e delta} update that reuses every untouched sub-circuit and
-      plan component, with results rationally equal to a cold
-      recompute (the identity the differential suite pins);
-    - an engine whose version fell off the bounded journal (or a cold
-      key) recompiles from scratch: a {e miss}, evicting the
+    - after [insert]/[delete] requests, a stale engine catches up with
+      one {!Engine.rebuild} over the current database — a {e delta}
+      update that reuses the memo, every untouched sub-circuit and plan
+      component, with results rationally equal to a cold recompute (the
+      identity the differential suite pins).  A read after [k] writes
+      counts one delta update, not [k]; the server keeps no change
+      journal, so an entry any number of writes behind (70, say) still
+      catches up as a delta;
+    - a cold key, including every key of a database reloaded by
+      [load_db], compiles from scratch: a {e miss}, evicting the
       least-recently-used entry when the cache is full.
 
     The protocol is length-prefixed JSON frames ({!Frame}) over any
@@ -45,29 +48,23 @@ val create :
   ?tel:Telemetry.t ->
   ?capacity:int ->
   ?max_frame:int ->
-  ?journal_limit:int ->
   ?jobs:int ->
   ?engine_cache_capacity:int ->
   unit ->
   t
 (** A fresh server.  [capacity] bounds the engine LRU (default
     {!default_capacity}); [max_frame] the accepted payload size in
-    bytes (default {!Frame.default_max_len}); [journal_limit] how many
-    changes per database stay replayable before stale engines must
-    recompile cold (default {!default_journal_limit}); [jobs] and
+    bytes (default {!Frame.default_max_len}); [jobs] and
     [engine_cache_capacity] are handed to every {!Engine.create}.
-    @raise Invalid_argument if [capacity < 1] or [journal_limit < 0]. *)
+    @raise Invalid_argument if [capacity < 1]. *)
 
 val default_capacity : int
 (** Default engine-LRU capacity (8). *)
 
-val default_journal_limit : int
-(** Default per-database journal bound (64). *)
-
 val load_db : t -> name:string -> text:string -> unit
 (** Load (or atomically replace) a named database from {!Db_text}
     syntax — the programmatic form of the ["load_db"] op.  Replacing
-    invalidates cached engines for the name (they miss on next eval).
+    drops the cached engines for the name (they miss on next eval).
     @raise Invalid_argument on malformed text. *)
 
 val serve :

@@ -2,8 +2,8 @@
 
    One tracer value carries both a hierarchical span recorder (timestamps
    from an injectable clock, so tests run on a fake deterministic one) and
-   a metrics registry (counters, gauges, exact-integer histograms).  The
-   design constraints, in order:
+   a metrics registry (counters, gauges).  The design constraints, in
+   order:
 
    - zero overhead when disabled: [span t name f] on a disabled tracer is
      one branch and then [f ()]; counters are a mutable int wherever they
@@ -47,7 +47,6 @@ module Counter = struct
   let add c n = c.v <- c.v + n
   let value c = c.v
   let reset c = c.v <- 0
-  let merge a b = { v = a.v + b.v }
 end
 
 module Gauge = struct
@@ -56,45 +55,9 @@ module Gauge = struct
   let create () = { g = 0 }
   let set g v = g.g <- v
   let value g = g.g
-  let merge a b = { g = max a.g b.g }
 end
 
-module Histogram = struct
-  type t = { tbl : (int, int) Hashtbl.t }
-
-  let create () = { tbl = Hashtbl.create 16 }
-
-  let observe_n h v n =
-    if n < 0 then invalid_arg "Telemetry.Histogram.observe_n: negative count";
-    if n > 0 then
-      Hashtbl.replace h.tbl v
-        (n + Option.value ~default:0 (Hashtbl.find_opt h.tbl v))
-
-  let observe h v = observe_n h v 1
-  let count h = Hashtbl.fold (fun _ n acc -> acc + n) h.tbl 0
-  let total h = Hashtbl.fold (fun v n acc -> acc + (v * n)) h.tbl 0
-
-  let bins h =
-    List.sort compare (Hashtbl.fold (fun v n acc -> (v, n) :: acc) h.tbl [])
-
-  let of_list vs =
-    let h = create () in
-    List.iter (observe h) vs;
-    h
-
-  let merge a b =
-    let h = create () in
-    List.iter (fun (v, n) -> observe_n h v n) (bins a);
-    List.iter (fun (v, n) -> observe_n h v n) (bins b);
-    h
-
-  let equal a b = bins a = bins b
-end
-
-type metric =
-  | Counter of Counter.t
-  | Gauge of Gauge.t
-  | Histogram of Histogram.t
+type metric = Counter of Counter.t | Gauge of Gauge.t
 
 (* Registration order preserved (the exporters keep it); find-or-create by
    name so the same logical counter is shared by everyone naming it. *)
@@ -251,96 +214,11 @@ let gauge t name =
   | Gauge g -> g
   | _ -> invalid_arg (Printf.sprintf "Telemetry.gauge: %S is not a gauge" name)
 
-let histogram t name =
-  match find_or_register t name (fun () -> Histogram (Histogram.create ())) with
-  | Histogram h -> h
-  | _ ->
-    invalid_arg (Printf.sprintf "Telemetry.histogram: %S is not a histogram" name)
-
 let metrics t = t.registry.metrics
 
 (* ---------------- exporters ---------------- *)
 
 module Export = struct
-  let ms s = s *. 1000.
-
-  (* Human-readable tree: spans grouped per track, nested by call path,
-     siblings in alphabetical order; then the metrics.  Every wall-clock
-     figure sits on a line ending in [time  : …ms] so the cram tests mask
-     all of them with the one existing pattern. *)
-  let summary t =
-    let buf = Buffer.create 512 in
-    let evs = events t in
-    Buffer.add_string buf "telemetry summary\n";
-    List.iter
-      (fun (track, tname) ->
-         let mine = List.filter (fun e -> e.ev_track = track) evs in
-         if mine <> [] then begin
-           Buffer.add_string buf (Printf.sprintf "spans (track %d, %s):\n" track tname);
-           (* group by full path: (path, count, total) *)
-           let tbl : (string list, int * float) Hashtbl.t = Hashtbl.create 16 in
-           List.iter
-             (fun e ->
-                let n, d =
-                  Option.value ~default:(0, 0.) (Hashtbl.find_opt tbl e.ev_path)
-                in
-                Hashtbl.replace tbl e.ev_path (n + 1, d +. e.ev_dur_s))
-             mine;
-           let paths =
-             List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) tbl [])
-           in
-           List.iter
-             (fun path ->
-                let n, d = Hashtbl.find tbl path in
-                let depth = List.length path - 1 in
-                let name = List.nth path depth in
-                let label = String.make (2 + (2 * depth)) ' ' ^ name in
-                Buffer.add_string buf
-                  (Printf.sprintf "%-42s %4dx  time  : %.2fms\n" label n (ms d)))
-             paths
-         end)
-      (tracks t);
-    let counters =
-      List.filter_map
-        (function name, Counter c -> Some (name, Counter.value c) | _ -> None)
-        (metrics t)
-    and gauges =
-      List.filter_map
-        (function name, Gauge g -> Some (name, Gauge.value g) | _ -> None)
-        (metrics t)
-    and histos =
-      List.filter_map
-        (function name, Histogram h -> Some (name, h) | _ -> None)
-        (metrics t)
-    in
-    if counters <> [] then begin
-      Buffer.add_string buf "counters:\n";
-      List.iter
-        (fun (name, v) ->
-           Buffer.add_string buf (Printf.sprintf "  %-40s %d\n" name v))
-        counters
-    end;
-    if gauges <> [] then begin
-      Buffer.add_string buf "gauges:\n";
-      List.iter
-        (fun (name, v) ->
-           Buffer.add_string buf (Printf.sprintf "  %-40s %d\n" name v))
-        gauges
-    end;
-    if histos <> [] then begin
-      Buffer.add_string buf "histograms:\n";
-      List.iter
-        (fun (name, h) ->
-           let bins = Histogram.bins h in
-           let lo = match bins with [] -> 0 | (v, _) :: _ -> v in
-           let hi = List.fold_left (fun _ (v, _) -> v) lo bins in
-           Buffer.add_string buf
-             (Printf.sprintf "  %-40s n=%d total=%d min=%d max=%d\n" name
-                (Histogram.count h) (Histogram.total h) lo hi))
-        histos
-    end;
-    Buffer.contents buf
-
   let attrs_json attrs =
     String.concat ","
       (List.map
@@ -393,26 +271,12 @@ module Export = struct
     in
     List.iter
       (fun (name, m) ->
-         match m with
-         | Counter c ->
-           emit
-             (Printf.sprintf
-                "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\
-                 \"tid\":0,\"args\":{\"value\":%d}}"
-                (Tracejson.escape name) end_ts (Counter.value c))
-         | Gauge g ->
-           emit
-             (Printf.sprintf
-                "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\
-                 \"tid\":0,\"args\":{\"value\":%d}}"
-                (Tracejson.escape name) end_ts (Gauge.value g))
-         | Histogram h ->
-           emit
-             (Printf.sprintf
-                "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\
-                 \"tid\":0,\"args\":{\"count\":%d,\"total\":%d}}"
-                (Tracejson.escape name) end_ts (Histogram.count h)
-                (Histogram.total h)))
+         let v = match m with Counter c -> Counter.value c | Gauge g -> Gauge.value g in
+         emit
+           (Printf.sprintf
+              "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\
+               \"tid\":0,\"args\":{\"value\":%d}}"
+              (Tracejson.escape name) end_ts v))
       (metrics t);
     Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
     Buffer.contents buf

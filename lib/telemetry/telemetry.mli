@@ -1,5 +1,6 @@
-(** Unified telemetry: hierarchical spans, a metrics registry, and
-    exporters (summary tree, Chrome [trace_event]).
+(** Unified telemetry: hierarchical spans, a metrics registry, and a
+    Chrome [trace_event] exporter (rendered as a summary by
+    {!Tracejson.summarize}, behind [svc trace summary]).
 
     A tracer {!t} records {e spans} (named, nested, timestamped intervals)
     and owns a {e registry} of named metrics.  Timestamps come from an
@@ -40,8 +41,9 @@ module Clock : sig
 end
 
 (** Monotone integer counters.  Not thread-safe: increment only from the
-    owning domain; parallel code accumulates per-slot and merges after the
-    join (merge is associative and commutative). *)
+    owning domain.  A {!fork} shares its parent's registry, so parallel
+    code bumps a registry counter from the calling domain after the
+    join. *)
 module Counter : sig
   type t
 
@@ -52,52 +54,18 @@ module Counter : sig
   val add : t -> int -> unit
   val value : t -> int
   val reset : t -> unit
-
-  val merge : t -> t -> t
-  (** Fresh counter holding the sum. *)
 end
 
-(** Last-value integer gauges ({!Gauge.merge} takes the max, making merge
-    associative and commutative). *)
+(** Last-value integer gauges. *)
 module Gauge : sig
   type t
 
   val create : unit -> t
   val set : t -> int -> unit
   val value : t -> int
-  val merge : t -> t -> t
 end
 
-(** Exact integer histograms: every observed value keeps its own bin, so
-    merging loses nothing and is associative and commutative. *)
-module Histogram : sig
-  type t
-
-  val create : unit -> t
-  val observe : t -> int -> unit
-
-  val observe_n : t -> int -> int -> unit
-  (** [observe_n h v n] records [n] observations of [v].
-      @raise Invalid_argument on negative [n]. *)
-
-  val count : t -> int
-  (** Number of observations. *)
-
-  val total : t -> int
-  (** Sum of observed values. *)
-
-  val bins : t -> (int * int) list
-  (** [(value, occurrences)] pairs, sorted by value. *)
-
-  val of_list : int list -> t
-  val merge : t -> t -> t
-  val equal : t -> t -> bool
-end
-
-type metric =
-  | Counter of Counter.t
-  | Gauge of Gauge.t
-  | Histogram of Histogram.t
+type metric = Counter of Counter.t | Gauge of Gauge.t
 
 type t
 
@@ -173,7 +141,6 @@ val counter : t -> string -> Counter.t
     @raise Invalid_argument if the name is registered as another kind. *)
 
 val gauge : t -> string -> Gauge.t
-val histogram : t -> string -> Histogram.t
 
 val metrics : t -> (string * metric) list
 (** Registration order. *)
@@ -183,17 +150,11 @@ val metrics : t -> (string * metric) list
     Pure functions of the recorded events and registry. *)
 
 module Export : sig
-  val summary : t -> string
-  (** Human-readable block: spans grouped per track and nested by call
-      path (alphabetical siblings), then counters/gauges/histograms.
-      Every wall-clock figure ends its line in [time  : …ms], so one mask
-      covers them all in cram tests. *)
-
   val chrome : t -> string
   (** Chrome [trace_event] JSON, loadable in [about:tracing] / Perfetto:
       a [thread_name] metadata record per track, an ["X"] (complete)
       event per span with microsecond timestamps, and a final ["C"]
-      counter sample per counter/gauge/histogram. *)
+      counter sample per counter/gauge. *)
 
   val write_chrome : t -> string -> unit
   (** Write {!chrome} to a file path.  @raise Sys_error on I/O failure. *)

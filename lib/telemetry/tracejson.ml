@@ -350,7 +350,7 @@ let summarize ~name text =
                 match field "value" e.t_args with
                 | Some (Num f) -> Printf.sprintf "%.0f" f
                 | _ ->
-                  (* histogram-style sample: show its args verbatim *)
+                  (* a multi-valued sample: show its args verbatim *)
                   String.concat " "
                     (List.map
                        (fun (k, v) ->

@@ -135,6 +135,61 @@ let prop_rpq_monotone =
        (not (Rpq.eval q g))
        || Rpq.eval q (Fact.Set.add (fact "A" [ "s"; "s" ]) g))
 
+(* A random regular expression over {A, B, C} of depth at most [d]. *)
+let rec random_regex r d =
+  let sym () = Regex.sym (Workload.pick r [ "A"; "B"; "C" ]) in
+  if d = 0 then sym ()
+  else
+    match Workload.int r 5 with
+    | 0 -> sym ()
+    | 1 -> Regex.seq (random_regex r (d - 1)) (random_regex r (d - 1))
+    | 2 -> Regex.alt (random_regex r (d - 1)) (random_regex r (d - 1))
+    | 3 -> Regex.star (random_regex r (d - 1))
+    | _ -> Regex.opt (random_regex r (d - 1))
+
+(* The product-automaton walk against the definition, by subset
+   enumeration over graphs of at most 12 facts: every returned set is a
+   minimal support, listed once, and every satisfying subset contains
+   one of them. *)
+let prop_rpq_minimal_supports =
+  qcheck ~count:300 "RPQ walk finds exactly the minimal supports" Gen.seed_gen
+    (fun seed ->
+       let r = Workload.rng seed in
+       let nodes = [ "s"; "t"; "1"; "2" ] in
+       let lang = random_regex r 3 in
+       let q =
+         Rpq.make lang ~src:(Workload.pick r nodes) ~dst:(Workload.pick r nodes)
+       in
+       let g =
+         Database.all
+           (Workload.random_graph r ~labels:[ "A"; "B"; "C" ] ~nodes
+              ~n_endo:(Workload.int r 13) ~n_exo:0)
+       in
+       let supports = Rpq.minimal_supports_in q g in
+       let minimal s =
+         Fact.Set.subset s g && Rpq.eval q s
+         && Fact.Set.for_all (fun f -> not (Rpq.eval q (Fact.Set.remove f s))) s
+       in
+       let arr = Array.of_list (Fact.Set.elements g) in
+       let subset mask =
+         let s = ref Fact.Set.empty in
+         Array.iteri
+           (fun i f -> if mask land (1 lsl i) <> 0 then s := Fact.Set.add f !s)
+           arr;
+         !s
+       in
+       let rec covered mask =
+         mask < 0
+         || ((let s = subset mask in
+              (not (Rpq.eval q s))
+              || List.exists (fun m -> Fact.Set.subset m s) supports)
+             && covered (mask - 1))
+       in
+       List.for_all minimal supports
+       && List.length (List.sort_uniq Fact.Set.compare supports)
+          = List.length supports
+       && covered ((1 lsl Array.length arr) - 1))
+
 let suite =
   [
     Alcotest.test_case "RPQ evaluation" `Quick test_rpq_eval;
@@ -149,4 +204,5 @@ let suite =
     Alcotest.test_case "UCRPQ" `Quick test_ucrpq;
     prop_crpq_ucq_agree;
     prop_rpq_monotone;
+    prop_rpq_minimal_supports;
   ]

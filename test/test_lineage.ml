@@ -51,7 +51,7 @@ let test_lineage_rpq_supports () =
       [ fact "A" [ "s"; "1" ]; fact "B" [ "1"; "2" ]; fact "C" [ "2"; "t" ];
         fact "C" [ "1"; "t" ] ]
   in
-  let ms = Lineage.rpq_minimal_supports q g in
+  let ms = Rpq.minimal_supports_in q g in
   (* two minimal supports: A,C(1,t) and A,B,C(2,t) *)
   Alcotest.(check int) "two minimal supports" 2 (List.length ms);
   (* agreement with the generic enumeration *)
@@ -70,7 +70,7 @@ let test_lineage_rpq_cycles () =
     facts
       [ fact "A" [ "s"; "1" ]; fact "A" [ "1"; "s" ]; fact "A" [ "1"; "t" ] ]
   in
-  let ms = Lineage.rpq_minimal_supports q g in
+  let ms = Rpq.minimal_supports_in q g in
   Alcotest.(check int) "single minimal path" 1 (List.length ms);
   Alcotest.(check int) "path length 2" 2 (Fact.Set.cardinal (List.hd ms))
 

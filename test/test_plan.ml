@@ -246,6 +246,82 @@ let prop_mutated_plans_rejected =
          in
          Result.is_error (Plancheck.check phi truncated))
 
+(* ---- the min-fill pick against an unbounded reference ---- *)
+
+(* The min-fill elimination order by definition: at every step each live
+   vertex's whole fill (pairs of live neighbours not yet adjacent) is
+   counted, and the first vertex of minimum (fill, degree) in [cvars]
+   order goes. *)
+let reference_min_fill cvars cliques =
+  let vars = Array.of_list cvars in
+  let m = Array.length vars in
+  let index f =
+    let rec go i = if Fact.equal vars.(i) f then i else go (i + 1) in
+    go 0
+  in
+  let adj = Array.make_matrix m m false in
+  List.iter
+    (fun cl ->
+       let ids =
+         List.map index
+           (List.filter (fun f -> List.exists (Fact.equal f) cvars)
+              (Fact.Set.elements cl))
+       in
+       List.iter
+         (fun a -> List.iter (fun b -> if a <> b then adj.(a).(b) <- true) ids)
+         ids)
+    cliques;
+  let alive = Array.make m true in
+  let nbrs v = List.filter (fun w -> alive.(w) && adj.(v).(w)) (List.init m Fun.id) in
+  let key v =
+    let ns = nbrs v in
+    let rec fill = function
+      | [] -> 0
+      | a :: rest ->
+        List.length (List.filter (fun b -> not adj.(a).(b)) rest) + fill rest
+    in
+    (fill ns, List.length ns)
+  in
+  List.init m (fun _ ->
+      let best = ref (-1) in
+      for v = m - 1 downto 0 do
+        if alive.(v) && (!best < 0 || key v <= key !best) then best := v
+      done;
+      let v = !best and ns = nbrs !best in
+      List.iter (fun a -> List.iter (fun b -> if a <> b then adj.(a).(b) <- true) ns) ns;
+      alive.(v) <- false;
+      vars.(v))
+
+(* Lineages with hubs and ties: random positive DNFs over up to 14
+   variables, sometimes conjoined into several AND-components, and
+   registry instances (stars, grids, road RPQs, CQ¬) of sizes 1-8. *)
+let random_lineage seed =
+  let r = Workload.rng seed in
+  if Workload.int r 2 = 0 then
+    let family = Workload.pick r [ "star"; "bipartite"; "rpq-road"; "cqneg"; "crpq" ] in
+    let case = Workload.generate ~family ~seed:(Workload.int r 100) ~size:(1 + Workload.int r 8) in
+    Lineage.lineage case.Workload.query case.Workload.db
+  else
+    let n = 2 + Workload.int r 13 in
+    let var () = Bform.fv (fact "V" [ string_of_int (Workload.int r n) ]) in
+    let dnf () =
+      Bform.disj
+        (List.init (1 + Workload.int r 10) (fun _ ->
+             Bform.conj (List.init (1 + Workload.int r 4) (fun _ -> var ()))))
+    in
+    Bform.conj (List.init (1 + Workload.int r 2) (fun _ -> dnf ()))
+
+let prop_min_fill_reference =
+  qcheck ~count:300 "min-fill orders = unbounded reference" Gen.seed_gen
+    (fun seed ->
+       let phi = random_lineage seed in
+       let cliques = Plan.cliques phi in
+       List.for_all
+         (fun c ->
+            List.equal Fact.equal c.Plan.order
+              (reference_min_fill c.Plan.cvars cliques))
+         (Plan.analyze ~heuristic:Plan.Min_fill phi).Plan.components)
+
 let suite =
   [
     Alcotest.test_case "bipartite n=24 plan beats the bar" `Quick
@@ -270,4 +346,5 @@ let suite =
     prop_planned_circuits;
     prop_heuristics_verify;
     prop_mutated_plans_rejected;
+    prop_min_fill_reference;
   ]

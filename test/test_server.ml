@@ -37,7 +37,9 @@ let diff_families = [ "star"; "bipartite"; "cqneg"; "const-svc" ]
    single-fact changes (inserts from a larger sibling instance of the
    same family, deletes of present facts), chaining one engine through
    [Engine.update] while checking it against a cold engine on the
-   current database after every step. *)
+   current database after every step; finally the first engine, rebuilt
+   in one step over the last database (the server's catch-up), must
+   answer like a cold engine too. *)
 let differential_episode ~backend ~jobs ~steps seed =
   let r = Workload.rng seed in
   let family = Workload.pick r diff_families in
@@ -47,7 +49,8 @@ let differential_episode ~backend ~jobs ~steps seed =
     Workload.generate ~family ~seed:(1 + Workload.int r 100) ~size:(size + 2)
   in
   let pool = Fact.Set.elements (Database.all donor.Workload.db) in
-  let engine = ref (Engine.create ~backend ~jobs case.Workload.query case.Workload.db) in
+  let first = Engine.create ~backend ~jobs case.Workload.query case.Workload.db in
+  let engine = ref first in
   let db = ref case.Workload.db in
   let ok = ref true in
   for _ = 1 to steps do
@@ -79,7 +82,9 @@ let differential_episode ~backend ~jobs ~steps seed =
       if not (values_equal (Engine.svc_all !engine) (Engine.svc_all cold))
       then ok := false
   done;
+  let cold = Engine.create ~backend ~jobs case.Workload.query !db in
   !ok
+  && values_equal (Engine.svc_all (Engine.rebuild first !db)) (Engine.svc_all cold)
 
 let diff_test name ~backend ~jobs =
   Test_util.qcheck ~count:300
@@ -239,8 +244,8 @@ let frame_read_total =
 let db_text = "endo R(1)\nendo S(1,2)\nendo T(2)\nexo T(3)\n"
 let q_src = "R(?x), S(?x,?y), T(?y)"
 
-let mk_server ?capacity ?max_frame ?journal_limit () =
-  let s = Server.create ?capacity ?max_frame ?journal_limit () in
+let mk_server ?capacity ?max_frame () =
+  let s = Server.create ?capacity ?max_frame () in
   Server.load_db s ~name:"d" ~text:db_text;
   s
 
@@ -384,7 +389,7 @@ let test_delta_path () =
   Alcotest.(check string) "first is a miss" "miss" (jstr e0 "cache");
   Alcotest.(check string) "after inserts: delta" "delta" (jstr e1 "cache");
   Alcotest.(check string) "after deletes: delta" "delta" (jstr e2 "cache");
-  Alcotest.(check int) "four delta updates" 4 (Server.delta_updates s);
+  Alcotest.(check int) "one delta update per catch-up" 2 (Server.delta_updates s);
   Alcotest.(check int) "no recompile" 1 (Server.cache_misses s);
   (* the insert/delete pair cancels: answers return to the original *)
   Alcotest.(check bool) "roundtrip values" true
@@ -397,15 +402,41 @@ let test_delta_path () =
   Alcotest.(check bool) "delta values = cold values" true
     (values_equal (jvalues e1) (expected_values mid))
 
-let test_journal_overflow_recompiles () =
-  let s = mk_server ~journal_limit:2 () in
-  let ins c = Printf.sprintf "{\"op\":\"insert\",\"db\":\"d\",\"fact\":\"T(%d)\"}" c in
-  let reqs = [ eval_req (); ins 4; ins 5; ins 6; eval_req () ] in
+(* However many writes an entry missed, its next eval is one rebuild
+   over the current database: 70 writes (endogenous and exogenous
+   inserts and deletes) between two evals make one delta update. *)
+let test_many_writes_one_rebuild () =
+  let s = mk_server () in
+  let kind c = if c mod 2 = 0 then "endo" else "exo" in
+  let insert f c =
+    ( Printf.sprintf "{\"op\":\"insert\",\"db\":\"d\",\"fact\":%S,\"kind\":%S}"
+        f (kind c),
+      fun db ->
+        let f = Db_text.parse_fact f in
+        if c mod 2 = 0 then Database.add_endo f db else Database.add_exo f db )
+  and delete f =
+    ( Printf.sprintf "{\"op\":\"delete\",\"db\":\"d\",\"fact\":%S}" f,
+      Database.remove (Db_text.parse_fact f) )
+  in
+  let t c = Printf.sprintf "T(%d)" c and edge c = Printf.sprintf "S(1,%d)" c in
+  let writes =
+    List.init 35 (fun i -> insert (t (i + 4)) (i + 4))
+    @ List.init 30 (fun i -> delete (t (i + 4)))
+    @ List.init 5 (fun i -> insert (edge (i + 34)) (i + 34))
+  in
+  Alcotest.(check int) "70 writes" 70 (List.length writes);
+  let reqs = (eval_req () :: List.map fst writes) @ [ eval_req () ] in
   let out = read_all (Server.serve_string s (session reqs)) in
-  Alcotest.(check string) "stale past the journal: miss" "miss"
-    (jstr (List.nth out 4) "cache");
-  Alcotest.(check int) "two cold compiles" 2 (Server.cache_misses s);
-  Alcotest.(check int) "no deltas" 0 (Server.delta_updates s)
+  Alcotest.(check bool) "every request answered ok" true (List.for_all jok out);
+  let last = List.nth out 71 in
+  Alcotest.(check string) "70 writes behind: delta" "delta" (jstr last "cache");
+  let final =
+    List.fold_left (fun db (_, apply) -> apply db) (Db_text.parse db_text) writes
+  in
+  Alcotest.(check bool) "delta values = cold values" true
+    (values_equal (jvalues last) (expected_values final));
+  Alcotest.(check int) "one delta update" 1 (Server.delta_updates s);
+  Alcotest.(check int) "one miss" 1 (Server.cache_misses s)
 
 let test_load_db_invalidates () =
   let s = mk_server () in
@@ -538,8 +569,8 @@ let suite =
       test_truncated_eof;
     Alcotest.test_case "lru cache counters" `Quick test_cache_lru;
     Alcotest.test_case "delta update path" `Quick test_delta_path;
-    Alcotest.test_case "journal overflow recompiles cold" `Quick
-      test_journal_overflow_recompiles;
+    Alcotest.test_case "70 writes, then one rebuild" `Quick
+      test_many_writes_one_rebuild;
     Alcotest.test_case "load_db invalidates entries" `Quick
       test_load_db_invalidates;
     Alcotest.test_case "shutdown stops the loop" `Quick test_shutdown_stops;

@@ -1,9 +1,9 @@
-(* Telemetry subsystem suite: fake-clock unit tests, qcheck laws for
-   span well-formedness and metric-merge algebra, byte-exact golden
-   exporter output, and differential regressions proving telemetry is
-   observationally free — telemetry-on runs produce bit-identical
-   Shapley values and the same pinned stats JSON shape as telemetry-off
-   runs, for every backend × jobs combination. *)
+(* Telemetry subsystem suite: fake-clock unit tests, a qcheck law for
+   span well-formedness, byte-exact golden exporter output, and
+   differential regressions proving telemetry is observationally free —
+   telemetry-on runs produce bit-identical Shapley values and the same
+   pinned stats JSON shape as telemetry-off runs, for every backend ×
+   jobs combination. *)
 
 open Test_util
 
@@ -51,10 +51,6 @@ let scripted_tracer () =
       Telemetry.span t "engine.fact" (fun () -> advance 0.001));
   let c = Telemetry.counter t "engine.compilations" in
   Telemetry.Counter.add c 5;
-  let h = Telemetry.histogram t "engine.chunk_sizes" in
-  Telemetry.Histogram.observe h 3;
-  Telemetry.Histogram.observe h 3;
-  Telemetry.Histogram.observe h 7;
   t
 
 let test_span_nesting () =
@@ -154,7 +150,7 @@ let test_aggregate () =
     [ ("engine.eval", 1, 0.004); ("engine.fact", 2, 0.003) ] agg
 
 (* ------------------------------------------------------------------ *)
-(* qcheck: span well-formedness and merge algebra                      *)
+(* qcheck: span well-formedness                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* A random span program: a forest of nested spans, executed on a fake
@@ -198,52 +194,9 @@ let prop_span_well_formed =
               && e.Telemetry.ev_dur_s >= 0.)
            evs)
 
-let counter_of_list l =
-  let c = Telemetry.Counter.create () in
-  List.iter (Telemetry.Counter.add c) l;
-  c
-
-let prop_counter_merge =
-  qcheck ~count:400 "counter merge is associative and commutative"
-    QCheck2.Gen.(triple (list small_int) (list small_int) (list small_int))
-    (fun (a, b, c) ->
-       let ca () = counter_of_list a
-       and cb () = counter_of_list b
-       and cc () = counter_of_list c in
-       let v x = Telemetry.Counter.value x in
-       let m = Telemetry.Counter.merge in
-       v (m (m (ca ()) (cb ())) (cc ())) = v (m (ca ()) (m (cb ()) (cc ())))
-       && v (m (ca ()) (cb ())) = v (m (cb ()) (ca ())))
-
-let prop_histogram_merge =
-  qcheck ~count:400 "histogram merge is associative and commutative"
-    QCheck2.Gen.(
-      triple
-        (list (int_bound 20))
-        (list (int_bound 20))
-        (list (int_bound 20)))
-    (fun (a, b, c) ->
-       let h = Telemetry.Histogram.of_list in
-       let m = Telemetry.Histogram.merge in
-       let eq = Telemetry.Histogram.equal in
-       eq (m (m (h a) (h b)) (h c)) (m (h a) (m (h b) (h c)))
-       && eq (m (h a) (h b)) (m (h b) (h a))
-       && Telemetry.Histogram.total (m (h a) (h b))
-          = List.fold_left ( + ) 0 (a @ b))
-
 (* ------------------------------------------------------------------ *)
 (* Golden exporter output (byte-exact, fake clock)                     *)
 (* ------------------------------------------------------------------ *)
-
-let golden_summary =
-  "telemetry summary\n\
-   spans (track 0, main):\n\
-  \  engine.eval                                 1x  time  : 4.00ms\n\
-  \    engine.fact                               2x  time  : 3.00ms\n\
-   counters:\n\
-  \  engine.compilations                      5\n\
-   histograms:\n\
-  \  engine.chunk_sizes                       n=3 total=13 min=3 max=7\n"
 
 let golden_chrome =
   "{\"traceEvents\":[\n\
@@ -251,13 +204,8 @@ let golden_chrome =
    {\"name\":\"engine.fact\",\"cat\":\"svc\",\"ph\":\"X\",\"ts\":1000.000,\"dur\":2000.000,\"pid\":1,\"tid\":0,\"args\":{\"fact\":\"a\"}},\n\
    {\"name\":\"engine.fact\",\"cat\":\"svc\",\"ph\":\"X\",\"ts\":3000.000,\"dur\":1000.000,\"pid\":1,\"tid\":0},\n\
    {\"name\":\"engine.eval\",\"cat\":\"svc\",\"ph\":\"X\",\"ts\":0.000,\"dur\":4000.000,\"pid\":1,\"tid\":0},\n\
-   {\"name\":\"engine.compilations\",\"ph\":\"C\",\"ts\":4000.000,\"pid\":1,\"tid\":0,\"args\":{\"value\":5}},\n\
-   {\"name\":\"engine.chunk_sizes\",\"ph\":\"C\",\"ts\":4000.000,\"pid\":1,\"tid\":0,\"args\":{\"count\":3,\"total\":13}}\n\
+   {\"name\":\"engine.compilations\",\"ph\":\"C\",\"ts\":4000.000,\"pid\":1,\"tid\":0,\"args\":{\"value\":5}}\n\
    ],\"displayTimeUnit\":\"ms\"}\n"
-
-let test_golden_summary () =
-  Alcotest.(check string) "summary tree is byte-exact" golden_summary
-    (Telemetry.Export.summary (scripted_tracer ()))
 
 let test_golden_chrome () =
   Alcotest.(check string) "chrome trace is byte-exact" golden_chrome
@@ -270,7 +218,7 @@ let test_chrome_round_trip () =
   | Ok j ->
     (match Tracejson.validate j with
      | Error msg -> Alcotest.failf "exporter output failed schema: %s" msg
-     | Ok evs -> Alcotest.(check int) "all events validated" 6 (List.length evs))
+     | Ok evs -> Alcotest.(check int) "all events validated" 5 (List.length evs))
 
 let test_tracejson_malformed () =
   let is_err = function Error _ -> true | Ok _ -> false in
@@ -480,9 +428,6 @@ let suite =
     Alcotest.test_case "registry kind mismatch" `Quick test_registry_kind_mismatch;
     Alcotest.test_case "aggregate rollup" `Quick test_aggregate;
     prop_span_well_formed;
-    prop_counter_merge;
-    prop_histogram_merge;
-    Alcotest.test_case "golden summary" `Quick test_golden_summary;
     Alcotest.test_case "golden chrome trace" `Quick test_golden_chrome;
     Alcotest.test_case "chrome round-trips through the validator" `Quick
       test_chrome_round_trip;
