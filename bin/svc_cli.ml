@@ -266,7 +266,8 @@ let plan_cmd =
         exit 1
     in
     let backend, reason =
-      Engine.auto_rule ~n_facts ~classes:(Symmetry.count classes) (Some pl)
+      Engine.auto_rule ~n_facts ~classes:(Symmetry.count classes)
+        ~trial:(lazy (Engine.trial_circuit phi)) (Some pl)
     in
     let backend = Engine.backend_name backend in
     match format with

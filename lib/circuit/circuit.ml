@@ -64,6 +64,7 @@ type t = {
   unique : int Unique.t;
   mutable root : int;
   capacity : int;
+  limit : int; (* arena length at which [alloc] raises [Node_cap] *)
   mutable smoothing : int;
   hits : Telemetry.Counter.t;
   misses : Telemetry.Counter.t;
@@ -90,13 +91,18 @@ module Session = struct
   let create () = { prev = None; cache = Fcache.create 256 }
 end
 
+exception Node_cap
+
 let true_id = 0
 let false_id = 1
 
+(* The cap is checked before anything is written, so a raise leaves the
+   arena, the hash-cons table and the formula cache consistent. *)
 let alloc c node vs =
   match Unique.find_opt c.unique node with
   | Some id -> id
   | None ->
+    if c.len >= c.limit then raise Node_cap;
     let cap = Array.length c.nodes in
     if c.len = cap then begin
       let nodes = Array.make (2 * cap) NTrue in
@@ -279,8 +285,9 @@ let mark_live c ~base_len =
   (Array.of_list !live, !edges, !reused)
 
 let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
-    ?session phi =
+    ?(max_nodes = max_int) ?session phi =
   if cache_capacity < 0 then invalid_arg "Circuit.compile: negative capacity";
+  if max_nodes < 0 then invalid_arg "Circuit.compile: negative max_nodes";
   (* rank = position in the plan's branch order (first = decided first);
      duplicate mentions keep their earliest rank *)
   let rank =
@@ -299,6 +306,8 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
   let misses = Telemetry.counter tel "circuit.cache_misses" in
   let drops = Telemetry.counter tel "circuit.cache_drops" in
   let base = match session with Some s -> s.Session.prev | None -> None in
+  let base_len = match base with Some p -> p.len | None -> 0 in
+  let limit = base_len + min max_nodes (max_int - base_len) in
   let c =
     match base with
     | Some p ->
@@ -307,6 +316,7 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
         p with
         root = 0;
         capacity = cache_capacity;
+        limit;
         smoothing = 0;
         hits;
         misses;
@@ -323,6 +333,7 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
         unique = Unique.create 256;
         root = 0;
         capacity = cache_capacity;
+        limit;
         smoothing = 0;
         hits;
         misses;
@@ -332,10 +343,15 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
         reused = 0;
       }
   in
-  let base_len = c.len in
   let cache =
     match session with Some s -> s.Session.cache | None -> Fcache.create 256
   in
+  (* The session's hash-cons table and formula cache name every node
+     this build allocates, so the session takes this arena before the
+     build starts: a build stopped at the cap leaves the session holding
+     the nodes it got to, which are valid because the arena is
+     append-only, and the next compile appends after them. *)
+  (match session with Some s -> s.Session.prev <- Some c | None -> ());
   Telemetry.span tel "circuit.compile" (fun () ->
       ignore (alloc c NTrue Fact.Set.empty : int); (* id 0 *)
       ignore (alloc c NFalse Fact.Set.empty : int); (* id 1 *)
@@ -345,7 +361,6 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
   c.live <- live;
   c.n_edges <- edges;
   c.reused <- reused;
-  (match session with Some s -> s.Session.prev <- Some c | None -> ());
   Telemetry.Gauge.set (Telemetry.gauge tel "circuit.nodes") nodes;
   Telemetry.Gauge.set (Telemetry.gauge tel "circuit.edges") edges;
   Telemetry.Gauge.set (Telemetry.gauge tel "circuit.smoothing") c.smoothing;

@@ -71,16 +71,29 @@ module Session : sig
   val create : unit -> t
 end
 
+exception Node_cap
+(** Raised by {!compile} [~max_nodes] when the build needs more than
+    [max_nodes] new nodes. *)
+
 val compile :
   ?tel:Telemetry.t ->
   ?plan:Plan.t ->
   ?cache_capacity:int ->
+  ?max_nodes:int ->
   ?session:Session.t ->
   Bform.t ->
   t
 (** Compile a lineage formula.  [cache_capacity] bounds the number of
     formula→node memo entries (default unbounded; the bound affects
     compile time, never the result).
+
+    [max_nodes] caps the nodes the build allocates in the arena
+    (default unbounded): nodes inherited from the session are free,
+    and nodes the build allocates but the root does not reach count.
+    A build that fits the cap gives the same circuit as an uncapped
+    one; a build that would pass it stops and raises {!Node_cap}.  A
+    stopped build still leaves its session sound: the session keeps
+    the nodes it allocated, and later compiles build on them.
 
     [plan] steers the build without being trusted for correctness:
     Shannon expansion decides variables in the plan's branch order
@@ -109,7 +122,8 @@ val compile :
     private disabled tracer, so the per-circuit accessors below are
     unshared; compiling twice against the {e same} [tel] accumulates
     into shared counters.
-    @raise Invalid_argument on negative capacity. *)
+    @raise Node_cap when the build needs more than [max_nodes] nodes.
+    @raise Invalid_argument on negative capacity or [max_nodes]. *)
 
 val vars : t -> Fact.Set.t
 (** The variables the circuit mentions (= the formula's variables unless
@@ -131,8 +145,11 @@ val reused_nodes : t -> int
 val session_adopt : Session.t -> t -> unit
 (** Retroactively seed a session with a circuit compiled {e outside} any
     session: the next [compile ~session] continues in that circuit's
-    arena and reuses its hash-consed nodes.  Used by {!Engine.update} to
-    upgrade an engine whose first compile was sessionless. *)
+    arena and reuses its hash-consed nodes.  Used by {!Engine.rebuild}
+    to upgrade an engine whose first compile was sessionless.  A circuit
+    seeds at most one session: the session appends into the circuit's
+    own arena, so a second session adopting it would overwrite the
+    first one's nodes. *)
 
 val cache_hits : t -> int
 val cache_misses : t -> int

@@ -56,7 +56,7 @@ type t = {
   auto_reason : string option; (* the `Auto rule that fired, with its numbers *)
   classes : Symmetry.t; (* interchangeable players; singletons unless `Auto *)
   plan : Plan.t option; (* the compilation plan that steered resolution *)
-  session : Circuit.Session.t option;
+  mutable session : Circuit.Session.t option;
   (* shared compilation arena across rebuilds; [None] until the first
      [rebuild] (so one-shot engines keep their exporter output) *)
   phi : Bform.t;
@@ -77,11 +77,24 @@ type t = {
 
 let default_cache_capacity = 1 lsl 20
 
+(* The trial behind the rule's over-budget branch: the lineage compiled
+   without the plan, under a cap of [Plan.circuit_node_budget] new
+   nodes.  The plan's width-based prediction is only an upper bound: on
+   road RPQs it predicts ~10^8 nodes for circuits of about a thousand. *)
+let trial_circuit ?tel ?cache_capacity ?session phi =
+  match
+    Circuit.compile ?tel ?cache_capacity ~max_nodes:Plan.circuit_node_budget
+      ?session phi
+  with
+  | c -> Some c
+  | exception Circuit.Node_cap -> None
+
 (* The one `Auto rule.  Below [Plan.min_circuit_facts] classes,
    conditioning once per class wins without a plan; above it the plan's
-   predicted circuit size decides.  With no plan (a parallel engine),
-   conditioning fans the classes out. *)
-let auto_rule ~n_facts ~classes plan =
+   predicted circuit size decides, and a prediction past the budget
+   runs the trial, which is forced nowhere else.  With no plan (a
+   parallel engine), conditioning fans the classes out. *)
+let auto_rule ~n_facts ~classes ~trial plan =
   let among =
     Printf.sprintf "%d class%s of interchangeable facts among %d endogenous \
                     fact%s"
@@ -96,13 +109,26 @@ let auto_rule ~n_facts ~classes plan =
     match plan with
     | None -> (`Conditioning, among ^ ": conditioning once per class in parallel")
     | Some pl ->
-      let backend = Plan.recommend pl ~n_facts:classes in
-      ( backend,
-        Printf.sprintf "~%d predicted nodes (width %d) %s the %d-node budget \
-                        for %s"
-          pl.Plan.predicted_nodes pl.Plan.max_width
-          (match backend with `Circuit -> "within" | `Conditioning -> "exceed")
-          Plan.circuit_node_budget among )
+      let predicted verdict =
+        Printf.sprintf "~%d predicted nodes (width %d) %s the %d-node budget"
+          pl.Plan.predicted_nodes pl.Plan.max_width verdict
+          Plan.circuit_node_budget
+      in
+      (match Plan.recommend pl ~n_facts:classes with
+       | `Circuit -> (`Circuit, Printf.sprintf "%s for %s" (predicted "within") among)
+       | `Conditioning ->
+         (match Lazy.force trial with
+          | Some c ->
+            ( `Circuit,
+              Printf.sprintf
+                "%s, but the unplanned circuit fits it with %d nodes, for %s"
+                (predicted "exceed") (Circuit.node_count c) among )
+          | None ->
+            ( `Conditioning,
+              Printf.sprintf
+                "%s, and the unplanned circuit overflowed it: conditioning \
+                 once per class for %s"
+                (predicted "exceed") among )))
 
 let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     db =
@@ -141,19 +167,25 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
       Some (analyze ())
     | `Auto | `Conditioning | `Sample _ -> None
   in
-  let resolved, auto_reason =
+  let resolved, auto_reason, circuit =
     match requested with
-    | `Conditioning -> (`Conditioning, None)
-    | `Circuit -> (`Circuit, None)
+    | `Conditioning -> (`Conditioning, None, None)
+    | `Circuit -> (`Circuit, None, None)
     (* never auto-selected: an approximate answer must be asked for *)
-    | `Sample cfg -> Sample.validate cfg; (`Sample cfg, None)
+    | `Sample cfg -> Sample.validate cfg; (`Sample cfg, None, None)
     | `Auto ->
+      let trial = lazy (trial_circuit ~tel ~cache_capacity ?session phi) in
       let backend, reason =
-        auto_rule ~n_facts:n ~classes:(Symmetry.count classes) plan
+        auto_rule ~n_facts:n ~classes:(Symmetry.count classes) ~trial plan
       in
       ((backend :> [ `Conditioning | `Circuit | `Sample of Sample.config ]),
-       Some reason)
+       Some reason,
+       (* a trial that fit the cap is the engine's circuit *)
+       if Lazy.is_val trial then Lazy.force trial else None)
   in
+  (* the trial circuit was built without the plan, so the engine keeps
+     none, and a rebuild plans afresh *)
+  let plan = match circuit with Some _ -> None | None -> plan in
   {
     query;
     db;
@@ -178,7 +210,7 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     conditionings;
     full = None;
     par = [||];
-    circuit = None;
+    circuit;
     circuit_eval = None;
     sample_shapley = None;
     sample_banzhaf = None;
@@ -218,6 +250,10 @@ let rebuild t db =
       (match t.circuit with
        | Some c -> Circuit.session_adopt s c
        | None -> ());
+      (* kept, so a second rebuild of [t] appends to this session: a
+         second session adopting the same circuit would append into the
+         same arena and overwrite this one's nodes *)
+      t.session <- Some s;
       s
   in
   make ~tel:t.tel ~cache_capacity:t.cache_capacity ~jobs:t.jobs

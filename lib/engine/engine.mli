@@ -64,13 +64,16 @@ type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
       {!Plan.min_circuit_facts} classes it conditions once per class
       without planning (every hierarchical star lands here: hub and
       spokes are two classes).  Above the floor a serial instance is
-      analyzed by the compilation planner ({!Plan.analyze}) and gets
-      [`Circuit] exactly when {!Plan.recommend} predicts the compiled
-      circuit fits the node budget (the prediction comes from the
-      lineage's induced width, so dense co-occurrence graphs fall back to
-      conditioning no matter how many facts they have); [`Conditioning]
-      at [jobs > 1].  Explicit [`Conditioning] and [`Circuit] stay per
-      fact: they are the references [`Auto] is checked against;
+      analyzed by the compilation planner ({!Plan.analyze}), and a
+      circuit whose predicted size fits {!Plan.circuit_node_budget}
+      ({!Plan.recommend}) is compiled along the plan.  The prediction
+      comes from the lineage's induced width and is only an upper
+      bound, so an instance predicted past the budget compiles without
+      the plan under a cap of that many new nodes ({!trial_circuit}):
+      it gets [`Circuit] if the build fits, and conditions once per
+      class only if it overflows.  [`Conditioning] at [jobs > 1].
+      Explicit [`Conditioning] and [`Circuit] stay per fact: they are
+      the references [`Auto] is checked against;
     - [`Sample cfg]: the anytime sampling estimator ({!Sample}) — the
       only {e approximate} backend, and therefore never auto-selected:
       every answer carries a seeded-deterministic estimate whose
@@ -106,7 +109,11 @@ val create :
     representative on the serial path, [engine.slice] per worker slot
     on track [slot + 1] at [jobs > 1] (one Chrome lane per domain), and
     [engine.merge] for the deterministic merge; the circuit backend adds
-    {!Circuit}'s [circuit.*] spans, counters and gauges.
+    {!Circuit}'s [circuit.*] spans, counters and gauges.  An [`Auto]
+    instance predicted past the node budget runs {!auto_rule}'s trial
+    compile here, in [create], so its [circuit.compile] span precedes
+    [engine.eval] (and is the only circuit span if the trial
+    overflowed).
     @raise Invalid_argument if [jobs < 0]. *)
 
 type change = [ `Insert of [ `Endo | `Exo ] * Fact.t | `Delete of Fact.t ]
@@ -128,12 +135,16 @@ val rebuild : t -> Database.t -> t
       touch to its existing arena node ({!Circuit.reused_nodes});
     - the compilation plan, replayed component-locally through
       {!Plan.replan} — only components whose variables changed are
-      re-ordered.
+      re-ordered.  An engine without a plan, such as one answering from
+      {!auto_rule}'s unplanned trial, plans afresh.
 
     Any number of writes separates [db] from {!database}: one rebuild
     catches up with all of them, which is how [svc serve] refreshes a
     stale cached engine.  The original engine stays fully usable (its
-    answers still describe the old database).  Per-answer caches (full
+    answers still describe the old database), and it can be rebuilt
+    again: an engine's first rebuild creates its session, seeded with
+    any circuit the engine already compiled, and every later rebuild of
+    it compiles into that same session.  Per-answer caches (full
     polynomial, circuit evaluation, sample reports) start cold in the new
     engine; the backend is re-resolved from the originally requested
     one, so an [`Auto] engine may flip strategy as the instance grows or
@@ -170,13 +181,32 @@ val sample_report : t -> Sample.report option
     Carries per-fact confidence intervals, draw counts and convergence
     flags — the data behind {!Stats.Sample} in {!stats}. *)
 
+val trial_circuit :
+  ?tel:Telemetry.t ->
+  ?cache_capacity:int ->
+  ?session:Circuit.Session.t ->
+  Bform.t ->
+  Circuit.t option
+(** The lineage compiled without a plan under a cap of
+    {!Plan.circuit_node_budget} new nodes ({!Circuit.compile}
+    [~max_nodes]); [None] if the build overflowed the cap. *)
+
 val auto_rule :
-  n_facts:int -> classes:int -> Plan.t option -> [ `Circuit | `Conditioning ] * string
+  n_facts:int ->
+  classes:int ->
+  trial:Circuit.t option Lazy.t ->
+  Plan.t option ->
+  [ `Circuit | `Conditioning ] * string
 (** The one [`Auto] rule, with a one-line reason naming the class count:
     [`Conditioning] once per class below {!Plan.min_circuit_facts}
-    classes or without a plan (a parallel engine), otherwise
-    {!Plan.recommend} on the plan with [~n_facts:classes].  {!create}
-    resolves [`Auto] through it; [svc plan] prints it. *)
+    classes or without a plan (a parallel engine); otherwise [`Circuit]
+    when {!Plan.recommend} on the plan with [~n_facts:classes] predicts
+    a circuit within the budget.  Past the budget the rule forces
+    [trial], {!trial_circuit}'s outcome, and nowhere else: [`Circuit]
+    if the trial fit, with a reason naming the predicted and the real
+    node count, and [`Conditioning] once per class if it overflowed.
+    {!create} and {!rebuild} resolve [`Auto] through it; [svc plan]
+    prints it. *)
 
 val auto_reason : t -> string option
 (** The reason {!auto_rule} gave when this engine resolved [`Auto];
@@ -193,7 +223,9 @@ val plan : t -> Plan.t option
     explicit [`Circuit] backend and for a serial [`Auto] with at least
     {!Plan.min_circuit_facts} classes (where it decided the resolution
     and will steer any circuit compilation); absent for [`Conditioning],
-    [`Sample], parallel [`Auto] and few-class [`Auto] engines. *)
+    [`Sample], parallel [`Auto] and few-class [`Auto] engines, and for
+    an [`Auto] engine whose circuit is {!auto_rule}'s unplanned trial
+    (a {!rebuild} of it then plans afresh). *)
 
 val query : t -> Query.t
 val database : t -> Database.t

@@ -130,11 +130,15 @@ val branch_order : t -> Fact.t list
 val component_count : t -> int
 
 val recommend : t -> n_facts:int -> [ `Circuit | `Conditioning ]
-(** Cost-based backend choice for a serial batched run over [n_facts]
-    endogenous facts: [`Circuit] iff [n_facts >= min_circuit_facts] and
+(** The prediction half of the [`Auto] rule for a serial batched run
+    over [n_facts] endogenous facts: [`Circuit] iff
+    [n_facts >= min_circuit_facts] and
     [predicted_nodes <= circuit_node_budget] — one compilation of a
-    width-bounded circuit beats [n_facts] conditioned counts; otherwise
-    the predicted blow-up (or the tiny instance) favours conditioning. *)
+    width-bounded circuit beats [n_facts] conditioned counts.  Past the
+    budget, [`Conditioning] means only that the prediction does not
+    settle it: the prediction is an upper bound, and
+    {!Engine.auto_rule} then decides by a capped compile without the
+    plan. *)
 
 val min_circuit_facts : int
 (** Below this many endogenous facts conditioning always wins (8).  The
@@ -143,8 +147,10 @@ val min_circuit_facts : int
     class. *)
 
 val circuit_node_budget : int
-(** Predicted-node budget above which [`Auto] refuses to compile
-    ([2^16]). *)
+(** The [`Auto] rule's node budget ([2^16]).  A predicted size within
+    it compiles along the plan; past it, [`Auto] compiles without the
+    plan under a cap of this many new nodes and conditions once per
+    class only if that build overflows ({!Engine.auto_rule}). *)
 
 val to_string : t -> string
 (** Multi-line human-readable dump (components, orders, widths,

@@ -22,11 +22,25 @@ let values_equal v1 v2 =
        (fun (f1, x1) (f2, x2) -> Fact.equal f1 f2 && Rational.equal x1 x2)
        v1 v2
 
+let contains_substring s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let circuit_values q db =
   Engine.svc_all (Engine.create ~backend:`Circuit q db)
 
 let conditioning_values q db =
   Engine.svc_all (Engine.create ~backend:`Conditioning q db)
+
+(* a road RPQ from the registry: the 27-fact size-20 seed-1 road is the
+   size of the batch benchmark's roads *)
+let road ~size ~seed = Workload.generate ~family:"rpq-road" ~seed ~size
+
+let road_lineage ~size ~seed =
+  let case = road ~size ~seed in
+  (Lineage.lineage case.Workload.query case.Workload.db,
+   Database.endo_list case.Workload.db)
 
 (* circuit ≡ conditioning ≡ naive per-fact path, across the query corpus *)
 let prop_circuit_vs_conditioning_vs_naive =
@@ -183,7 +197,79 @@ let test_auto_selection () =
     (values_equal (Engine.svc_all e_big) (Engine.svc_all (Engine.create ~backend:`Circuit qrst big)));
   Alcotest.(check bool) "star: auto = explicit circuit" true
     (values_equal (Engine.svc_all e_star)
-       (Engine.svc_all (Engine.create ~backend:`Circuit q star)))
+       (Engine.svc_all (Engine.create ~backend:`Circuit q star)));
+  (* within the budget the rule never runs the trial *)
+  let grid_plan = Plan.analyze (Engine.lineage e_big) in
+  let n_big = Database.size_endo big in
+  Alcotest.(check bool) "within budget: planned circuit, no trial" true
+    (fst
+       (Engine.auto_rule ~n_facts:n_big ~classes:n_big
+          ~trial:(lazy (Alcotest.fail "trial forced within the budget"))
+          (Some grid_plan))
+     = `Circuit);
+  (* past the budget the unplanned trial decides: a road predicted at
+     ~2.3·10⁸ nodes compiles to a few hundred without the plan *)
+  let r = road ~size:20 ~seed:1 in
+  let e_road = Engine.create r.Workload.query r.Workload.db in
+  let road_plan = Plan.analyze (Engine.lineage e_road) in
+  Alcotest.(check bool) "road: predicted past the budget" true
+    (road_plan.Plan.predicted_nodes > Plan.circuit_node_budget);
+  Alcotest.(check bool) "road → unplanned circuit" true
+    (Engine.backend e_road = `Circuit && Engine.plan e_road = None);
+  let road_values = Engine.svc_all e_road in
+  let nodes =
+    match (Engine.stats e_road).Stats.backend with
+    | Stats.Circuit c -> c.nodes
+    | Stats.Conditioning _ | Stats.Sample _ ->
+      Alcotest.fail "expected circuit stats"
+  in
+  let reason = Option.value ~default:"" (Engine.auto_reason e_road) in
+  Alcotest.(check bool) "road reason names both node counts" true
+    (contains_substring reason
+       (Printf.sprintf "~%d predicted nodes" road_plan.Plan.predicted_nodes)
+     && contains_substring reason (Printf.sprintf "with %d nodes" nodes));
+  Alcotest.(check bool) "road: auto = conditioning" true
+    (values_equal road_values
+       (conditioning_values r.Workload.query r.Workload.db));
+  let classes = Symmetry.count (Engine.classes e_road) in
+  let n_road = Database.size_endo r.Workload.db in
+  let overflowed, why =
+    Engine.auto_rule ~n_facts:n_road ~classes ~trial:(lazy None) (Some road_plan)
+  in
+  Alcotest.(check bool) "overflowed trial → conditioning per class" true
+    (overflowed = `Conditioning
+     && contains_substring why "unplanned circuit overflowed"
+     && contains_substring why "conditioning once per class")
+
+(* Rebuilding one engine several times: each rebuild must answer as a
+   cold engine does.  The road answers from the unplanned trial, compiled
+   in [create] and without a plan, so its rebuilds plan afresh; the
+   grid's planned circuit is compiled by its first answer.  Both circuits
+   join the session of the engine's first rebuild, and every later
+   rebuild must append to that session rather than adopt the circuit
+   into a second one. *)
+let test_repeated_rebuilds () =
+  let check (case : Workload.case) ~evaluate_first ~every =
+    let e = Engine.create case.Workload.query case.Workload.db in
+    Alcotest.(check bool) (case.Workload.cname ^ " → circuit") true
+      (Engine.backend e = `Circuit);
+    if evaluate_first then ignore (Engine.svc_all e);
+    List.iteri
+      (fun i f ->
+         if i mod every = 0 then
+           Alcotest.(check bool)
+             (Printf.sprintf "%s without %s: rebuild = cold" case.Workload.cname
+                (Fact.to_string f))
+             true
+             (values_equal
+                (Engine.svc_all (Engine.update e (`Delete f)))
+                (conditioning_values case.Workload.query
+                   (Database.remove f case.Workload.db))))
+      (Database.endo_list case.Workload.db)
+  in
+  check (road ~size:20 ~seed:1) ~evaluate_first:false ~every:4;
+  check (Workload.generate ~family:"bipartite" ~seed:1 ~size:4)
+    ~evaluate_first:true ~every:3
 
 (* a bounded circuit compile cache changes counters, never answers *)
 let test_bounded_circuit_cache () =
@@ -287,11 +373,6 @@ let test_workload_backend () =
       (Stats.backend_name rc.Workload.stats)
   | _ -> Alcotest.fail "expected one case result each"
 
-let contains_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* Check's max_vars guard refuses rather than silently skipping *)
 let test_check_max_vars_guard () =
   let facts = List.init 10 (fun i -> fact "R" [ string_of_int i ]) in
@@ -318,13 +399,15 @@ let test_repeated_universe_fact () =
       ignore (Circuit.For_tests.evaluate_poly_z c ~universe:[ a; a ]));
   check_zpoly "a listed once" Poly.Z.x (Circuit.evaluate c ~universe:[ a ]).Circuit.full
 
-let same_evaluation (a : Circuit.evaluation) (b : Circuit.evaluation) =
+let same_polynomials (a : Circuit.evaluation) (b : Circuit.evaluation) =
   Poly.Z.equal a.Circuit.full b.Circuit.full
   && Array.length a.Circuit.by_fact = Array.length b.Circuit.by_fact
   && Array.for_all2
        (fun (f1, p1) (f2, p2) -> Fact.equal f1 f2 && Poly.Z.equal p1 p2)
        a.Circuit.by_fact b.Circuit.by_fact
-  && a.Circuit.poly_ops = b.Circuit.poly_ops
+
+let same_evaluation a b =
+  same_polynomials a b && a.Circuit.poly_ops = b.Circuit.poly_ops
 
 (* a session arena keeps every earlier compile's nodes; recompiling φ₁
    after φ₂ must cost exactly what the first φ₁ did, because the sweeps
@@ -349,6 +432,51 @@ let test_session_skips_dead_nodes () =
   let e3 = Circuit.evaluate third ~universe in
   Alcotest.(check int) "same poly_ops" e1.Circuit.poly_ops e3.Circuit.poly_ops;
   Alcotest.(check bool) "same polynomials" true (same_evaluation e1 e3)
+
+(* a cap the build fits under changes nothing; one below the live size
+   raises *)
+let test_node_cap () =
+  let phi, universe = road_lineage ~size:20 ~seed:1 in
+  let free = Circuit.compile phi in
+  let capped = Circuit.compile ~max_nodes:Plan.circuit_node_budget phi in
+  Alcotest.(check (list int)) "same node, edge and smoothing counts"
+    [ Circuit.node_count free; Circuit.edge_count free;
+      Circuit.smoothing_nodes free ]
+    [ Circuit.node_count capped; Circuit.edge_count capped;
+      Circuit.smoothing_nodes capped ];
+  Alcotest.(check bool) "same evaluation" true
+    (same_evaluation
+       (Circuit.evaluate free ~universe)
+       (Circuit.evaluate capped ~universe));
+  Alcotest.check_raises "cap of 60" Circuit.Node_cap (fun () ->
+      ignore (Circuit.compile ~max_nodes:60 phi));
+  Alcotest.check_raises "cap below the live size" Circuit.Node_cap (fun () ->
+      ignore (Circuit.compile ~max_nodes:(Circuit.node_count free - 1) phi))
+
+(* a build stopped at the cap leaves its session holding the nodes it
+   allocated, so the session stays sound: recompiling the same road
+   afterwards is a valid circuit with a fresh compile's polynomials (the
+   session shares sub-circuits, so its ring-operation count may
+   differ) *)
+let test_node_cap_session () =
+  let warm, _ = road_lineage ~size:12 ~seed:2 in
+  let phi, universe = road_lineage ~size:20 ~seed:1 in
+  let session = Circuit.Session.create () in
+  ignore (Circuit.compile ~session warm : Circuit.t);
+  Alcotest.check_raises "capped compile stops" Circuit.Node_cap (fun () ->
+      ignore (Circuit.compile ~session ~max_nodes:60 phi));
+  let again = Circuit.compile ~session phi in
+  (* 27 variables are past the enumeration guard, which runs after the
+     structural checks *)
+  (match Circuit.Check.check again with
+   | Ok _ -> ()
+   | Error msg ->
+     Alcotest.(check bool) ("only the enumeration guard: " ^ msg) true
+       (contains_substring msg "too many variables"));
+  Alcotest.(check bool) "same polynomials as a fresh compile" true
+    (same_polynomials
+       (Circuit.evaluate again ~universe)
+       (Circuit.evaluate (Circuit.compile phi) ~universe))
 
 let both_rings_agree c ~universe =
   same_evaluation
@@ -431,4 +559,9 @@ let suite =
       (test_ring_boundary 61);
     Alcotest.test_case "ring boundary: 62 facts (Poly.Z)" `Quick
       (test_ring_boundary 62);
+    Alcotest.test_case "repeated rebuilds of one circuit engine" `Quick
+      test_repeated_rebuilds;
+    Alcotest.test_case "node cap: fits or raises" `Quick test_node_cap;
+    Alcotest.test_case "node cap leaves the session sound" `Quick
+      test_node_cap_session;
   ]
