@@ -101,7 +101,7 @@ let of_string s =
 (* ------------------------------------------------------------------ *)
 (* Certified upper bounds for confidence intervals                     *)
 (*                                                                     *)
-(* The sampling engine's Hoeffding / empirical-Bernstein half-widths   *)
+(* The sampling engine's Hoeffding half-widths                         *)
 (* need √· and ln· of rationals.  Both are irrational in general, so   *)
 (* we return rational OVER-approximations: a half-width computed from  *)
 (* them is still a valid (slightly conservative) confidence bound,     *)

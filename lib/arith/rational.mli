@@ -69,7 +69,7 @@ val ln_upper : t -> t
     splitting [x = 2^k·r] with [1 <= r < 2] gives
     [k·0.693148 + (r - 1)].  The additive slack is at most [~0.307]
     (the [ln(1+t) <= t] gap at [r → 2]) — conservative but sound for
-    the [ln(2/δ)] terms of Hoeffding/Bernstein bounds.
+    the [ln(2/δ)] terms of Hoeffding bounds.
     @raise Invalid_argument on [x < 1]. *)
 
 val pp : Format.formatter -> t -> unit

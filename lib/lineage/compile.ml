@@ -72,30 +72,56 @@ let one_plus_z_pow k =
 
 (* Split a list of juncts into variable-disjoint groups (the decomposition
    rule, applied to conjunctions directly and to disjunctions through
-   complementation). *)
+   complementation), by union-find over the parts.  Each part, in input
+   order, absorbs every earlier group it shares a variable with and heads
+   the merged group.  Groups come out newest head first; a group lists its
+   head, then the groups it absorbed, newest first, each in the same
+   order.  The rebuilt groups are memo and circuit-cache keys, so this
+   order is part of every cache counter. *)
 let components ~rebuild (parts : Bform.t list) : (Bform.t * Fact.Set.t) list =
-  let tagged = List.map (fun p -> (p, Bform.vars p)) parts in
-  (* Groups hold their members as a list of chunks so that merging k parts
-     into one group stays linear in k, not quadratic. *)
-  let rec merge groups = function
-    | [] -> groups
-    | (p, vs) :: rest ->
-      let touching, apart =
-        List.partition
-          (fun (_, vs') -> not (Fact.Set.is_empty (Fact.Set.inter vs vs')))
-          groups
-      in
-      let merged_chunks =
-        [ p ] :: List.concat_map (fun (chunks, _) -> chunks) touching
-      in
-      let merged_vars =
-        List.fold_left (fun acc (_, vs') -> Fact.Set.union acc vs') vs touching
-      in
-      merge ((merged_chunks, merged_vars) :: apart) rest
+  let parts = Array.of_list parts in
+  let n = Array.length parts in
+  let vars = Array.map Bform.vars parts in
+  (* [head.(i) = i] iff part [i] heads a group; an absorbed part points
+     towards the part that absorbed its group *)
+  let head = Array.init n Fun.id in
+  let rec find i =
+    let h = head.(i) in
+    if h = i then i
+    else begin
+      let r = find h in
+      head.(i) <- r;
+      r
+    end
   in
-  List.map
-    (fun (chunks, vs) -> (rebuild (List.concat chunks), vs))
-    (merge [] tagged)
+  let absorbed = Array.make n [] in
+  let owner : (Fact.t, int) Hashtbl.t = Hashtbl.create n in
+  for i = 0 to n - 1 do
+    Fact.Set.iter
+      (fun v ->
+         match Hashtbl.find_opt owner v with
+         | None -> Hashtbl.add owner v i
+         | Some j ->
+           let r = find j in
+           if r <> i then begin
+             head.(r) <- i;
+             absorbed.(i) <- r :: absorbed.(i)
+           end)
+      vars.(i);
+    absorbed.(i) <- List.sort (fun a b -> compare b a) absorbed.(i)
+  done;
+  let rec members i acc = i :: List.fold_right members absorbed.(i) acc in
+  let groups = ref [] in
+  for i = 0 to n - 1 do
+    if head.(i) = i then begin
+      let ms = members i [] in
+      let vs =
+        List.fold_left (fun acc j -> Fact.Set.union acc vars.(j)) Fact.Set.empty ms
+      in
+      groups := (rebuild (List.map (fun j -> parts.(j)) ms), vs) :: !groups
+    end
+  done;
+  !groups
 
 let and_components = components ~rebuild:Bform.conj
 let or_components = components ~rebuild:Bform.disj
@@ -202,17 +228,21 @@ let size_polynomial_core ~memo phi0 =
   in
   count phi0
 
+(* The number of universe facts [phi] leaves free, after checking that
+   the universe lists each fact once and holds every fact of [phi]. *)
 let check_universe ~universe phi =
   let uset = Fact.Set.of_list universe in
-  if not (Fact.Set.subset (Bform.vars phi) uset) then
-    invalid_arg "Compile: formula mentions a fact outside the universe"
+  let n = Fact.Set.cardinal uset in
+  if n <> List.length universe then
+    invalid_arg "Compile: the universe repeats a fact";
+  let vs = Bform.vars phi in
+  if not (Fact.Set.subset vs uset) then
+    invalid_arg "Compile: formula mentions a fact outside the universe";
+  n - Fact.Set.cardinal vs
 
 let size_polynomial_with ~memo ~universe phi =
-  let vs = Bform.vars phi in
-  if not (Fact.Set.subset vs (Fact.Set.of_list universe)) then
-    invalid_arg "Compile: formula mentions a fact outside the universe";
+  let free = check_universe ~universe phi in
   let core = size_polynomial_core ~memo:(Some memo) phi in
-  let free = List.length universe - Fact.Set.cardinal vs in
   if free = 0 then core else Poly.Z.mul core (one_plus_z_pow free)
 
 let size_polynomial_stats ~universe phi =
@@ -223,9 +253,8 @@ let size_polynomial_stats ~universe phi =
 let size_polynomial ~universe phi = fst (size_polynomial_stats ~universe phi)
 
 let size_polynomial_naive ~universe phi =
-  check_universe ~universe phi;
+  let free = check_universe ~universe phi in
   let core = size_polynomial_core ~memo:None phi in
-  let free = List.length universe - Fact.Set.cardinal (Bform.vars phi) in
   Poly.Z.mul core (one_plus_z_pow free)
 
 let count_models ~universe phi = Poly.Z.total (size_polynomial ~universe phi)

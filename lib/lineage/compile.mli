@@ -55,10 +55,19 @@ module Memo : sig
 end
 
 val conjunct_components : Bform.t list -> (Bform.t * Fact.Set.t) list
-(** Split the juncts of a conjunction into variable-disjoint groups (the
-    d-DNNF decomposition rule), each rebuilt as one conjunct and tagged
-    with its variable set.  Exposed for the {!Circuit} knowledge compiler,
-    which applies the same rule when building decomposable ∧-nodes. *)
+(** Split the juncts of a conjunction into the finest variable-disjoint
+    groups (the d-DNNF decomposition rule), each rebuilt as one conjunct
+    and tagged with its variable set, by union-find in time near-linear
+    in the juncts' total size.  The counter splits disjunctions the same
+    way, and the {!Circuit} compiler (its decomposable ∧-nodes) and the
+    {!Plan} planner (its AND-components) split through this function.
+
+    The order is fixed, because the rebuilt groups are memo and
+    circuit-cache keys.  Reading the juncts in order, each one absorbs
+    every earlier group it shares a variable with and heads the merged
+    group.  Groups come newest head first.  Within a group, the head
+    comes first, then the groups it absorbed, newest first, each listed
+    the same way.  Juncts without variables stay singleton groups. *)
 
 val branch_variable : Bform.t -> Fact.t option
 (** The Shannon branching heuristic (most frequently occurring variable);

@@ -1,10 +1,9 @@
 (* Static compilation planner.
 
    Everything here is the *producer* side of a certificate: the
-   AND-component partition comes from grouping the root conjuncts by
-   shared variables (the same union-find discipline as
-   [Compile.conjunct_components], routed through the relational
-   [Incidence] helper), the co-occurrence graph from one clique per
+   AND-component partition comes from splitting the root conjuncts by
+   shared variables ([Compile.conjunct_components], the split the
+   compilers decompose by), the co-occurrence graph from one clique per
    syntactic constraint, and the orders from greedy elimination.  None
    of it is trusted downstream — [Plancheck] re-derives the partition
    and the graph from the raw formula and replays every order. *)
@@ -247,27 +246,18 @@ let order_component ~heuristic vars_arr clique_list =
   in
   component_of vars_arr o w nb picked
 
-(* The root-level AND-component split: group the flattened conjuncts of
-   a conjunctive root by shared variables (any other root is a single
-   component).  Routed through the relational incidence helper — the
-   same union-find the compiler's decomposition rule uses. *)
+(* The root-level AND-component split: the conjuncts of a conjunctive
+   root split by [Compile.conjunct_components], the split the compilers
+   decompose the same root by (any other root is a single component).
+   Groups without variables carry no component. *)
 let blocks phi =
   match phi with
   | Bform.True | Bform.False -> []
   | Bform.And parts ->
-    let tagged = List.map (fun p -> (p, Bform.vars p)) parts in
-    Incidence.group_by_shared
-      (fun (_, vs) -> List.map Fact.to_string (Fact.Set.elements vs))
-      tagged
-    |> List.filter_map (fun group ->
-        let vs =
-          List.fold_left
-            (fun acc (_, v) -> Fact.Set.union acc v)
-            Fact.Set.empty group
-        in
-        if Fact.Set.is_empty vs then None
-        else Some (List.map fst group, vs))
-  | _ -> [ ([ phi ], Bform.vars phi) ]
+    List.filter
+      (fun (_, vs) -> not (Fact.Set.is_empty vs))
+      (Compile.conjunct_components parts)
+  | _ -> [ (phi, Bform.vars phi) ]
 
 let saturating_add a b = if a >= huge_nodes - b then huge_nodes else a + b
 
@@ -358,9 +348,9 @@ let pass ~tel ~heuristic ?previous phi =
   in
   let order_all () =
     List.map
-      (fun (parts, vs) ->
+      (fun (block, vs) ->
          let vars_arr = Array.of_list (Fact.Set.elements vs) in
-         order vs vars_arr (List.concat_map (fun p -> cliques p) parts))
+         order vs vars_arr (cliques block))
       blocks
   in
   (* a fresh analysis reports its order time in a span of its own *)

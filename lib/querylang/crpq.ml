@@ -93,40 +93,8 @@ let eval q facts =
 (* ------------------------------------------------------------------ *)
 
 let components q =
-  let arr = Array.of_list q in
-  let n = Array.length arr in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else begin
-    let r = find parent.(i) in
-    parent.(i) <- r;
-    r
-  end in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
-  let keys a =
-    let key t = match t with Term.Const c -> "c:" ^ c | Term.Var v -> "v:" ^ v in
-    [ key a.psrc; key a.pdst ]
-  in
-  let owner : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  Array.iteri
-    (fun i a ->
-       List.iter
-         (fun k ->
-            match Hashtbl.find_opt owner k with
-            | None -> Hashtbl.add owner k i
-            | Some j -> union i j)
-         (keys a))
-    arr;
-  let groups : (int, path_atom list) Hashtbl.t = Hashtbl.create 8 in
-  Array.iteri
-    (fun i a ->
-       let r = find i in
-       let prev = Option.value ~default:[] (Hashtbl.find_opt groups r) in
-       Hashtbl.replace groups r (a :: prev))
-    arr;
-  Hashtbl.fold (fun _ g acc -> List.rev g :: acc) groups []
+  let key = function Term.Const c -> "c:" ^ c | Term.Var v -> "v:" ^ v in
+  Incidence.components_by (fun a -> [ key a.psrc; key a.pdst ]) q
 
 let is_connected q = List.length (components q) <= 1
 

@@ -38,7 +38,7 @@ let minimal_supports_in q facts =
 
 let independent_groups q =
   List.map of_cqs
-    (Incidence.group_by_shared (fun cq -> Term.Sset.elements (Cq.rels cq)) q)
+    (Incidence.components_by (fun cq -> Term.Sset.elements (Cq.rels cq)) q)
 
 let inclusion_exclusion step init q =
   let k = List.length q in

@@ -69,5 +69,3 @@ let fact_components_outside ~fixed facts =
 
 let facts_connected_outside ~fixed facts =
   List.length (fact_components_outside ~fixed facts) <= 1
-
-let group_by_shared = components_by

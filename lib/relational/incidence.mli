@@ -28,9 +28,10 @@ val facts_connected_outside : fixed:Term.Sset.t -> Fact.Set.t -> bool
 val fact_components_outside : fixed:Term.Sset.t -> Fact.Set.t -> Fact.Set.t list
 (** Components of the above graph. *)
 
-val group_by_shared : ('a -> string list) -> 'a list -> 'a list list
-(** [group_by_shared keys items] is the generic union-find underneath
+val components_by : ('a -> string list) -> 'a list -> 'a list list
+(** [components_by keys items] is the generic union-find underneath
     all of the above: items sharing a key land in one group (elements
     keep their relative order inside a group; group order is
-    unspecified).  Exposed for the compilation planner ({!Plan}), which
-    groups lineage conjuncts by shared fact variables with it. *)
+    unspecified).  Exposed for the query languages, which group UCQ
+    disjuncts by shared relation names and CRPQ path atoms by shared
+    terms with it. *)

@@ -29,24 +29,13 @@ let strategy_of_string = function
   | "hybrid" -> Some Hybrid
   | _ -> None
 
-type bound = Hoeffding | Bernstein
-
-let bound_to_string = function Hoeffding -> "hoeffding" | Bernstein -> "bernstein"
-
-let bound_of_string = function
-  | "hoeffding" -> Some Hoeffding
-  | "bernstein" -> Some Bernstein
-  | _ -> None
-
 type config = {
   strategy : strategy;
   seed : int;
   epsilon : Rational.t;
   confidence : Rational.t;
   max_draws : int;
-  batch : int;
   exact_cap : int;
-  bound : bound;
 }
 
 let default =
@@ -56,10 +45,11 @@ let default =
     epsilon = Rational.of_ints 1 20;
     confidence = Rational.of_ints 19 20;
     max_draws = 4096;
-    batch = 64;
     exact_cap = 512;
-    bound = Hoeffding;
   }
+
+(* Draws between stopping-rule checks. *)
+let batch = 64
 
 let validate cfg =
   if Rational.sign cfg.epsilon <= 0 then
@@ -68,16 +58,12 @@ let validate cfg =
      || not (Rational.lt cfg.confidence Rational.one) then
     invalid_arg "Sample: confidence must be in (0, 1)";
   if cfg.max_draws < 1 then invalid_arg "Sample: max_draws must be >= 1";
-  if cfg.batch < 1 then invalid_arg "Sample: batch must be >= 1";
   if cfg.exact_cap < 0 then invalid_arg "Sample: exact_cap must be >= 0"
 
 let config ?(strategy = default.strategy) ?(seed = default.seed)
     ?(epsilon = default.epsilon) ?(confidence = default.confidence)
-    ?(max_draws = default.max_draws) ?(batch = default.batch)
-    ?(exact_cap = default.exact_cap) ?(bound = default.bound) () =
-  let cfg =
-    { strategy; seed; epsilon; confidence; max_draws; batch; exact_cap; bound }
-  in
+    ?(max_draws = default.max_draws) ?(exact_cap = default.exact_cap) () =
+  let cfg = { strategy; seed; epsilon; confidence; max_draws; exact_cap } in
   validate cfg;
   cfg
 
@@ -164,26 +150,6 @@ module Bound = struct
   let hoeffding ~range ~log_term ~m =
     Rational.mul range
       (Rational.sqrt_upper (Rational.div log_term (Rational.of_int (2 * m))))
-
-  let bernstein ~range ~log_term ~m ~sum ~sumsq =
-    if m < 2 then hoeffding ~range ~log_term ~m
-    else begin
-      (* unbiased sample variance from the integer draw sums; the draws
-         are in {-1,0,1} so the int products stay far below overflow *)
-      let v = Rational.of_ints ((m * sumsq) - (sum * sum)) (m * (m - 1)) in
-      let t1 =
-        Rational.sqrt_upper
-          (Rational.div
-             (Rational.mul (Rational.of_int 2) (Rational.mul v log_term))
-             (Rational.of_int m))
-      in
-      let t2 =
-        Rational.div
-          (Rational.mul range (Rational.mul (Rational.of_int 7) log_term))
-          (Rational.of_int (3 * (m - 1)))
-      in
-      Rational.add t1 t2
-    end
 end
 
 (* ------------------------------------------------------------------ *)
@@ -304,14 +270,12 @@ let finish ctx estimates ~total_draws =
    path — along any permutation φ flips false→true at most once, so the
    flip position is found by binary search over prefix lengths
    (O(log n) evaluations) and only the pivot fact's sums move.  The
-   stopping rule uses the Hoeffding width, which at shared m is the
-   same for every fact; under `Bernstein the final per-fact widths are
-   refined to min(hoeffding, bernstein) — both are valid bounds. *)
+   Hoeffding width at shared m is the same for every fact. *)
 let monte_carlo ctx tel =
   let cfg = ctx.cfg and n = ctx.n in
   let range = range_of ctx in
   let log_term = Bound.log_term ~confidence:cfg.confidence ~intervals:1 in
-  let sums = Array.make n 0 and sumsq = Array.make n 0 in
+  let sums = Array.make n 0 in
   let perm = Array.init n Fun.id in
   (* φ(∅) and φ(U) decide whether a monotone permutation has a pivot *)
   Array.fill ctx.present 0 n false;
@@ -350,7 +314,6 @@ let monte_carlo ctx tel =
       done;
       let pivot = perm.(!hi - 1) in
       sums.(pivot) <- sums.(pivot) + 1;
-      sumsq.(pivot) <- sumsq.(pivot) + 1;
       set_prefix 0
     end
     else begin
@@ -360,7 +323,6 @@ let monte_carlo ctx tel =
         let curv = eval ctx in
         let d = b2i curv - b2i !prev in
         sums.(perm.(i)) <- sums.(perm.(i)) + d;
-        sumsq.(perm.(i)) <- sumsq.(perm.(i)) + (d * d);
         prev := curv
       done;
       Array.fill ctx.present 0 n false
@@ -370,7 +332,7 @@ let monte_carlo ctx tel =
   let hw = ref range in
   let stop = ref false in
   while not !stop do
-    let b = min cfg.batch (cfg.max_draws - !m) in
+    let b = min batch (cfg.max_draws - !m) in
     Telemetry.span tel
       ~attrs:
         (if Telemetry.enabled tel then
@@ -388,23 +350,14 @@ let monte_carlo ctx tel =
   let estimates =
     Array.mapi
       (fun i fact ->
-         let value = Rational.of_ints sums.(i) !m in
-         let half_width =
-           match cfg.bound with
-           | Hoeffding -> !hw
-           | Bernstein ->
-             Rational.min !hw
-               (Bound.bernstein ~range ~log_term ~m:!m ~sum:sums.(i)
-                  ~sumsq:sumsq.(i))
-         in
          {
            fact;
-           value;
-           half_width;
+           value = Rational.of_ints sums.(i) !m;
+           half_width = !hw;
            draws = !m;
            exact_strata = 0;
            sampled_strata = 0;
-           converged = Rational.leq half_width cfg.epsilon;
+           converged = Rational.leq !hw cfg.epsilon;
          })
       ctx.universe
   in
@@ -510,9 +463,7 @@ let stratified ctx tel ~exact_cap =
       }
     else begin
       let log_term = Bound.log_term ~confidence:cfg.confidence ~intervals:s in
-      let m = Array.make s 0
-      and sum = Array.make s 0
-      and sumsq = Array.make s 0 in
+      let m = Array.make s 0 and sum = Array.make s 0 in
       let rngs =
         Array.map (fun k -> Rng.of_path cfg.seed [ fi; k ]) sampled
       in
@@ -544,22 +495,14 @@ let stratified ctx tel ~exact_cap =
         done;
         if invert then Array.iter (fun i -> ctx.present.(i) <- false) others;
         m.(si) <- m.(si) + 1;
-        sum.(si) <- sum.(si) + d;
-        sumsq.(si) <- sumsq.(si) + (d * d)
+        sum.(si) <- sum.(si) + d
       in
       let stratum_hw si =
         if m.(si) = 0 then
           (* no draw yet: estimate at the midpoint of E_k's support,
              error at most half the width *)
           Rational.div range (Rational.of_int 2)
-        else
-          match cfg.bound with
-          | Hoeffding -> Bound.hoeffding ~range ~log_term ~m:m.(si)
-          | Bernstein ->
-            Rational.min
-              (Bound.hoeffding ~range ~log_term ~m:m.(si))
-              (Bound.bernstein ~range ~log_term ~m:m.(si) ~sum:sum.(si)
-                 ~sumsq:sumsq.(si))
+        else Bound.hoeffding ~range ~log_term ~m:m.(si)
       in
       let total_hw () =
         let acc = ref Rational.zero in
@@ -571,7 +514,7 @@ let stratified ctx tel ~exact_cap =
       let hw = ref (total_hw ()) in
       let stop = ref (Rational.leq !hw cfg.epsilon) in
       while not !stop do
-        let b = min cfg.batch (cfg.max_draws - !draws) in
+        let b = min batch (cfg.max_draws - !draws) in
         for _ = 1 to b do
           draw (!rr mod s);
           incr rr
@@ -672,7 +615,7 @@ let banzhaf ?(tel = Telemetry.disabled ()) cfg ~universe phi =
       let log_term =
         Bound.log_term ~confidence:cfg.confidence ~intervals:1
       in
-      let sums = Array.make n 0 and sumsq = Array.make n 0 in
+      let sums = Array.make n 0 in
       let one_draw d =
         let rng = Rng.of_path cfg.seed [ d ] in
         for i = 0 to n - 1 do ctx.present.(i) <- Rng.bool rng done;
@@ -684,15 +627,14 @@ let banzhaf ?(tel = Telemetry.disabled ()) cfg ~universe phi =
           ctx.present.(i) <- was;
           let v1, v0 = if was then (base, flipped) else (flipped, base) in
           let d = b2i v1 - b2i v0 in
-          sums.(i) <- sums.(i) + d;
-          sumsq.(i) <- sumsq.(i) + (d * d)
+          sums.(i) <- sums.(i) + d
         done
       in
       let m = ref 0 in
       let hw = ref range in
       let stop = ref false in
       while not !stop do
-        let b = min cfg.batch (cfg.max_draws - !m) in
+        let b = min batch (cfg.max_draws - !m) in
         Telemetry.span tel
           ~attrs:
             (if Telemetry.enabled tel then [ ("draws", string_of_int b) ]
@@ -710,22 +652,14 @@ let banzhaf ?(tel = Telemetry.disabled ()) cfg ~universe phi =
       let estimates =
         Array.mapi
           (fun i fact ->
-             let half_width =
-               match cfg.bound with
-               | Hoeffding -> !hw
-               | Bernstein ->
-                 Rational.min !hw
-                   (Bound.bernstein ~range ~log_term ~m:!m ~sum:sums.(i)
-                      ~sumsq:sumsq.(i))
-             in
              {
                fact;
                value = Rational.of_ints sums.(i) !m;
-               half_width;
+               half_width = !hw;
                draws = !m;
                exact_strata = 0;
                sampled_strata = 0;
-               converged = Rational.leq half_width cfg.epsilon;
+               converged = Rational.leq !hw cfg.epsilon;
              })
           ctx.universe
       in

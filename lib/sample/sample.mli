@@ -37,10 +37,8 @@
     {2 Confidence intervals}
 
     Per fact, the reported [half_width] is a valid
-    [confidence]-level bound on [|value - Sh(μ)|] (per-fact, not
-    familywise): Hoeffding by default, or the Maurer–Pontil empirical
-    Bernstein bound under [`Bernstein] (tighter when the observed
-    variance is small).  All bound arithmetic uses
+    [confidence]-level Hoeffding bound on [|value - Sh(μ)|] (per-fact,
+    not familywise).  All bound arithmetic uses
     {!Rational.sqrt_upper} / {!Rational.ln_upper}, so the intervals are
     conservative rational over-approximations — the stopping rule can
     only stop {e later} than an ideal real-valued rule, never report a
@@ -48,7 +46,7 @@
 
     {2 Anytime stopping}
 
-    Draws proceed in batches of [batch]; after each batch the rule stops
+    Draws proceed in batches of 64; after each batch the rule stops
     as soon as the half-width is [<= epsilon] ([converged = true]) or
     the [max_draws] budget is exhausted ([converged] reports whether the
     target was still met).  Under {!Monte_carlo} the budget counts
@@ -62,38 +60,31 @@ val strategy_to_string : strategy -> string
 val strategy_of_string : string -> strategy option
 (** Accepts ["mc"] / ["monte-carlo"], ["stratified"], ["hybrid"]. *)
 
-type bound = Hoeffding | Bernstein
-
-val bound_to_string : bound -> string
-val bound_of_string : string -> bound option
-
 type config = {
   strategy : strategy;
   seed : int;  (** master seed; every substream is derived from it *)
   epsilon : Rational.t;  (** target CI half-width, [> 0] *)
   confidence : Rational.t;  (** CI level in [(0, 1)], e.g. [19/20] *)
   max_draws : int;  (** draw budget, [>= 1] (see the stopping-rule note) *)
-  batch : int;  (** draws between stopping-rule checks, [>= 1] *)
   exact_cap : int;
       (** {!Hybrid} only: strata with [C(n-1,k) <= exact_cap] coalitions
           are enumerated exactly ([>= 0]) *)
-  bound : bound;
 }
 
 val default : config
 (** [Hybrid], seed [0], [epsilon = 1/20], [confidence = 19/20],
-    [max_draws = 4096], [batch = 64], [exact_cap = 512], [Hoeffding]. *)
+    [max_draws = 4096], [exact_cap = 512]. *)
 
 val config :
   ?strategy:strategy -> ?seed:int -> ?epsilon:Rational.t ->
-  ?confidence:Rational.t -> ?max_draws:int -> ?batch:int ->
-  ?exact_cap:int -> ?bound:bound -> unit -> config
+  ?confidence:Rational.t -> ?max_draws:int -> ?exact_cap:int -> unit ->
+  config
 (** {!default} with overrides, validated.
     @raise Invalid_argument as {!validate}. *)
 
 val validate : config -> unit
 (** @raise Invalid_argument if [epsilon <= 0], [confidence] outside
-    [(0, 1)], [max_draws < 1], [batch < 1] or [exact_cap < 0]. *)
+    [(0, 1)], [max_draws < 1] or [exact_cap < 0]. *)
 
 type estimate = {
   fact : Fact.t;
@@ -135,8 +126,7 @@ val banzhaf :
 (** Banzhaf estimates by uniform coalition sampling (one shared subset
     per draw serves every fact).  [strategy] and [exact_cap] are ignored
     — the Banzhaf value has no permutation/stratum structure — while
-    seed, epsilon, confidence, budget, batch and bound apply as in
-    {!shapley}. *)
+    seed, epsilon, confidence and budget apply as in {!shapley}. *)
 
 (** The confidence-interval arithmetic, exposed for the statistical test
     layer.  Draw values live in an interval of width [range]
@@ -150,15 +140,6 @@ module Bound : sig
   val hoeffding : range:Rational.t -> log_term:Rational.t -> m:int -> Rational.t
   (** [range · √(log_term/(2m))]: with probability [>= 1 - δ'] the
       sample mean of [m] i.i.d. draws is within this of the true mean. *)
-
-  val bernstein :
-    range:Rational.t -> log_term:Rational.t -> m:int -> sum:int ->
-    sumsq:int -> Rational.t
-  (** The Maurer–Pontil empirical Bernstein bound
-      [√(2·V·log_term/m) + 7·range·log_term/(3(m-1))] where [V] is the
-      unbiased sample variance reconstructed from the integer draw sums
-      [sum = Σxᵢ], [sumsq = Σxᵢ²].  Falls back to {!hoeffding} at
-      [m < 2]. *)
 end
 
 (** Deterministic seeded PRNG (a splitmix64-mixed xorshift64-star

@@ -111,7 +111,7 @@ let sweep_sample (name, q, universe) =
          Sample.config ~strategy:Sample.Monte_carlo ~seed:0
            ~epsilon:(Rational.of_ints 1 1000)
            ~confidence:(Rational.of_ints 999_999_999 1_000_000_000)
-           ~max_draws:128 ~batch:64 ()
+           ~max_draws:128 ()
        in
        Gen.iter_databases universe (fun db ->
            if Database.size_endo db > 0 then begin

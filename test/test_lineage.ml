@@ -102,7 +102,13 @@ let test_compile_counts () =
     (Compile.count_models ~universe:[ x; y; z ] Bform.fls);
   Alcotest.check_raises "foreign variable"
     (Invalid_argument "Compile: formula mentions a fact outside the universe") (fun () ->
-        ignore (Compile.size_polynomial ~universe:[ x ] (Bform.fv y)))
+        ignore (Compile.size_polynomial ~universe:[ x ] (Bform.fv y)));
+  Alcotest.check_raises "repeated universe fact"
+    (Invalid_argument "Compile: the universe repeats a fact") (fun () ->
+        ignore (Compile.size_polynomial ~universe:[ x; y; y ] phi));
+  Alcotest.check_raises "repeated universe fact (naive)"
+    (Invalid_argument "Compile: the universe repeats a fact") (fun () ->
+        ignore (Compile.size_polynomial_naive ~universe:[ x; y; y ] phi))
 
 let test_compile_negation () =
   let x = fact "R" [ "x" ] and y = fact "R" [ "y" ] in
@@ -132,6 +138,64 @@ let test_probability () =
     (Compile.probability ~prob phi);
   check_rational "⊤" Rational.one (Compile.probability ~prob Bform.tru)
 
+(* The specification of the component split's order: the quadratic merge
+   the splitter replaced.  Each part, in order, takes every group it
+   shares a variable with out of the list (newest first) and heads their
+   merge at the front. *)
+let reference_components parts =
+  let rec merge groups = function
+    | [] -> groups
+    | p :: rest ->
+      let vs = Bform.vars p in
+      let touching, apart =
+        List.partition
+          (fun (_, vs') -> not (Fact.Set.is_empty (Fact.Set.inter vs vs')))
+          groups
+      in
+      let members = p :: List.concat_map fst touching in
+      let vars =
+        List.fold_left (fun acc (_, vs') -> Fact.Set.union acc vs') vs touching
+      in
+      merge ((members, vars) :: apart) rest
+  in
+  List.map (fun (members, vs) -> (Bform.conj members, vs)) (merge [] parts)
+
+(* Random parts over at most 12 facts: facts, negated facts, small ∧ and
+   ∨ of facts, and the constants, which have no variables. *)
+let gen_parts =
+  let open QCheck2.Gen in
+  let leaf = map (fun i -> Bform.fv (fact "V" [ string_of_int i ])) (int_bound 11) in
+  let lits = list_size (int_range 2 3) leaf in
+  let part =
+    frequency
+      [ (4, leaf); (2, map Bform.neg leaf); (3, map Bform.conj lits);
+        (3, map Bform.disj lits); (1, oneofl [ Bform.tru; Bform.fls ]) ]
+  in
+  list_size (int_range 0 16) part
+
+let prop_split_matches_merge =
+  qcheck ~count:1000 "component split = reference merge" gen_parts
+    (fun parts ->
+       let same (g, vs) (g', vs') = Bform.equal g g' && Fact.Set.equal vs vs' in
+       let split = Compile.conjunct_components parts in
+       let reference = reference_components parts in
+       List.length split = List.length reference
+       && List.for_all2 same split reference)
+
+(* The star's hub branch: a disjunction of independent facts splits into
+   one singleton group per fact, newest first (quadratic under the
+   reference merge: seconds at this size). *)
+let test_split_independent_facts () =
+  let parts =
+    List.init 10_000 (fun i -> Bform.fv (fact "S" [ "hub"; string_of_int i ]))
+  in
+  let groups = Compile.conjunct_components parts in
+  Alcotest.(check int) "one group per fact" 10_000 (List.length groups);
+  Alcotest.(check bool) "singletons in reverse input order" true
+    (List.for_all2
+       (fun (g, vs) p -> Bform.equal g p && Fact.Set.equal vs (Bform.vars p))
+       groups (List.rev parts))
+
 (* The decisive property test: lineage+compile vs brute force on random
    instances of several query classes. *)
 let prop_lineage_random q_str rels =
@@ -156,6 +220,9 @@ let suite =
     Alcotest.test_case "negated counting" `Quick test_compile_negation;
     Alcotest.test_case "naive = memoized" `Quick test_compile_naive_agrees;
     Alcotest.test_case "weighted probability" `Quick test_probability;
+    prop_split_matches_merge;
+    Alcotest.test_case "split of 10⁴ independent facts" `Quick
+      test_split_independent_facts;
     prop_lineage_random "R(?x), S(?x,?y), T(?y)" [ ("R", 1); ("S", 2); ("T", 1) ];
     prop_lineage_random "ucq: R(?x,?y) | S(?y)" [ ("R", 2); ("S", 1) ];
     prop_lineage_random "rpq: (AB*C)(s,t)" [ ("A", 2); ("B", 2); ("C", 2) ];

@@ -3,7 +3,7 @@
    Three kinds of guarantee are pinned:
 
    - arithmetic: the rational CI machinery (isqrt, sqrt_upper, ln_upper,
-     Hoeffding/Bernstein) really produces upper bounds — checked against
+     Hoeffding) really produces upper bounds — checked against
      float references with slack only in the sound direction;
    - statistical: across the query corpus the exact Shapley/Banzhaf
      value lies inside every reported confidence interval (at a δ so
@@ -94,19 +94,6 @@ let test_hoeffding () =
     (Rational.lt (hw 256)
        (Sample.Bound.hoeffding ~range:Rational.one ~log_term:lt16 ~m:256))
 
-let test_bernstein () =
-  let log_term = Sample.Bound.log_term ~confidence:conf_95 ~intervals:1 in
-  let range = Rational.one in
-  (* zero empirical variance: Bernstein beats Hoeffding at decent m *)
-  let b = Sample.Bound.bernstein ~range ~log_term ~m:256 ~sum:0 ~sumsq:0 in
-  let h = Sample.Bound.hoeffding ~range ~log_term ~m:256 in
-  Alcotest.(check bool) "zero variance: bernstein < hoeffding" true
-    (Rational.lt b h);
-  (* m < 2 falls back to Hoeffding *)
-  check_rational "m=1 falls back"
-    (Sample.Bound.hoeffding ~range ~log_term ~m:1)
-    (Sample.Bound.bernstein ~range ~log_term ~m:1 ~sum:1 ~sumsq:1)
-
 (* ------------------------------------------------------------------ *)
 (* Seeded PRNG                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -161,13 +148,7 @@ let test_strings () =
   Alcotest.(check bool) "monte-carlo alias" true
     (Sample.strategy_of_string "monte-carlo" = Some Sample.Monte_carlo);
   Alcotest.(check bool) "junk strategy" true
-    (Sample.strategy_of_string "banana" = None);
-  List.iter
-    (fun b ->
-       Alcotest.(check bool) "bound round-trips" true
-         (Sample.bound_of_string (Sample.bound_to_string b) = Some b))
-    [ Sample.Hoeffding; Sample.Bernstein ];
-  Alcotest.(check bool) "junk bound" true (Sample.bound_of_string "x" = None)
+    (Sample.strategy_of_string "banana" = None)
 
 let test_validate () =
   let rejects name k =
@@ -182,7 +163,6 @@ let test_validate () =
   rejects "confidence 0" (fun () ->
       Sample.config ~confidence:Rational.zero ());
   rejects "max_draws 0" (fun () -> Sample.config ~max_draws:0 ());
-  rejects "batch 0" (fun () -> Sample.config ~batch:0 ());
   rejects "negative exact_cap" (fun () -> Sample.config ~exact_cap:(-1) ());
   Sample.validate Sample.default
 
@@ -236,7 +216,7 @@ let coverage_cfg seed =
     ~seed
     ~epsilon:(Rational.of_ints 1 1000)
     ~confidence:(Rational.of_ints 999_999 1_000_000)
-    ~max_draws:256 ~batch:64 ~exact_cap:2 ()
+    ~max_draws:256 ~exact_cap:2 ()
 
 let inside_ci (r : Sample.report) exact =
   Array.for_all
@@ -318,7 +298,7 @@ let test_stopping () =
   (* generous ε: one batch suffices and the loop stops there *)
   let loose =
     Sample.config ~strategy:Sample.Monte_carlo ~seed:3
-      ~epsilon:Rational.one ~max_draws:4096 ~batch:64 ()
+      ~epsilon:Rational.one ~max_draws:4096 ()
   in
   let e = Engine.create ~backend:(`Sample loose) qrst db in
   ignore (Engine.svc_all e);
@@ -328,7 +308,7 @@ let test_stopping () =
   (* unreachable ε: the budget binds exactly, and the report says so *)
   let tight =
     Sample.config ~strategy:Sample.Monte_carlo ~seed:3
-      ~epsilon:(Rational.of_ints 1 1_000_000) ~max_draws:100 ~batch:64 ()
+      ~epsilon:(Rational.of_ints 1 1_000_000) ~max_draws:100 ()
   in
   let e = Engine.create ~backend:(`Sample tight) qrst db in
   ignore (Engine.svc_all e);
@@ -342,8 +322,7 @@ let test_stopping () =
 let test_stats_surface () =
   let db = Gen.bipartite ~rows:2 in
   let cfg =
-    Sample.config ~strategy:Sample.Monte_carlo ~seed:9 ~max_draws:128
-      ~batch:64 ()
+    Sample.config ~strategy:Sample.Monte_carlo ~seed:9 ~max_draws:128 ()
   in
   let e = Engine.create ~backend:(`Sample cfg) qrst db in
   ignore (Engine.svc_all e);
@@ -365,9 +344,8 @@ let suite =
     prop_sqrt_upper;
     prop_ln_upper;
     Alcotest.test_case "hoeffding width" `Quick test_hoeffding;
-    Alcotest.test_case "bernstein width" `Quick test_bernstein;
     Alcotest.test_case "seeded rng" `Quick test_rng;
-    Alcotest.test_case "strategy/bound strings" `Quick test_strings;
+    Alcotest.test_case "strategy strings" `Quick test_strings;
     Alcotest.test_case "config validation" `Quick test_validate;
     Alcotest.test_case "universe guards" `Quick test_universe_guard;
     prop_hybrid_exact;
