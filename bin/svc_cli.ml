@@ -63,23 +63,32 @@ let eval_cmd =
   in
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Evaluate facts on $(docv) parallel domains (default 1 = \
-                 serial, 0 = one per available core).  Values and order are \
+           ~doc:"Fan the per-class conditionings of a conditioning run out \
+                 across $(docv) domains, one per static slice (default 1 = \
+                 serial, 0 = one per available core).  The circuit and \
+                 sample backends never fan out, and $(b,auto) picks the \
+                 same backend at every $(docv).  Values and order are \
                  identical for every $(docv).")
   in
   let backend_arg =
-    Arg.(value & opt string "auto" & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"Evaluation backend: $(b,conditioning) (one conditioned \
-                 count per fact), $(b,circuit) (one d-DNNF compilation, \
-                 every fact read off a single traversal pair), $(b,auto) \
-                 (default: the compilation planner predicts the circuit \
-                 size from the lineage's induced width and picks the \
-                 cheaper backend), or $(b,sample) (seeded anytime \
-                 estimation with rational confidence intervals — the \
-                 only approximate backend, never auto-selected; see \
-                 $(b,--seed), $(b,--epsilon), $(b,--max-draws), \
-                 $(b,--strategy)).  The exact backends produce identical \
-                 values for every choice.")
+    let doc =
+      Printf.sprintf
+        "Evaluation backend: $(b,conditioning) (one conditioned count per \
+         fact), $(b,circuit) (one d-DNNF compilation, every fact read off \
+         a single traversal pair), $(b,auto) (default: one evaluation per \
+         class of interchangeable facts; below %d classes it conditions \
+         once per class, otherwise a circuit whose size the compilation \
+         planner predicts within %d nodes, or whose compile without the \
+         plan fits that cap, and conditioning once per class only if \
+         that compile overflows; the $(b,note:) line gives the reason), \
+         or $(b,sample) (seeded anytime estimation with rational \
+         confidence intervals — the only approximate backend, never \
+         auto-selected; see $(b,--seed), $(b,--epsilon), \
+         $(b,--max-draws), $(b,--strategy)).  The exact backends produce \
+         identical values for every choice."
+        Plan.min_circuit_facts Plan.circuit_node_budget
+    in
+    Arg.(value & opt string "auto" & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
   let seed_arg =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N"
@@ -267,7 +276,7 @@ let plan_cmd =
     in
     let backend, reason =
       Engine.auto_rule ~n_facts ~classes:(Symmetry.count classes)
-        ~trial:(lazy (Engine.trial_circuit phi)) (Some pl)
+        ~trial:(lazy (Engine.trial_circuit phi)) (Lazy.from_val pl)
     in
     let backend = Engine.backend_name backend in
     match format with
@@ -698,7 +707,11 @@ let serve_cmd =
          & info [ "cache-capacity" ] ~docv:"N" ~doc)
   in
   let jobs_arg =
-    let doc = "Worker domains per engine evaluation (0 = recommended)." in
+    let doc =
+      "Domains a conditioning evaluation fans out across, one per static \
+       slice (0 = one per available core).  Answers and the auto \
+       backend's choice are the same for every value."
+    in
     Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc)
   in
   let max_frame_arg =

@@ -19,12 +19,13 @@
 
    At [jobs > 1] the per-fact conditioning step — embarrassingly parallel,
    every fact's work reading only the shared immutable φ and the full
-   polynomial — fans out across [jobs] domains through [Pool].  The array
-   of class representatives (below) is cut into [jobs] static slices;
-   slot i always evaluates slice i with its own private [Compile.Memo] (a
-   Memo is an unsynchronized Hashtbl, so it must never be mutated from
-   two domains), and each value lands at its class members' original
-   indices, so values and order are bit-identical for every jobs count.
+   polynomial — fans out across [jobs] domains, one per static slice
+   ([Pool.run]).  The array of class representatives (below) is cut into
+   [jobs] slices; slot i evaluates slice i with its own private
+   [Compile.Memo] (a Memo is an unsynchronized Hashtbl, so it must never
+   be mutated from two domains), and each value lands at its class
+   members' original indices, so values and order are bit-identical for
+   every jobs count.  [jobs] plays no part in resolving `Auto.
 
    Under `Auto the engine first splits the players into classes of
    interchangeable facts ([Symmetry]): by Shapley's symmetry axiom every
@@ -92,8 +93,7 @@ let trial_circuit ?tel ?cache_capacity ?session phi =
 (* The one `Auto rule.  Below [Plan.min_circuit_facts] classes,
    conditioning once per class wins without a plan; above it the plan's
    predicted circuit size decides, and a prediction past the budget
-   runs the trial, which is forced nowhere else.  With no plan (a
-   parallel engine), conditioning fans the classes out. *)
+   runs the trial.  Each is forced only on the branch that reads it. *)
 let auto_rule ~n_facts ~classes ~trial plan =
   let among =
     Printf.sprintf "%d class%s of interchangeable facts among %d endogenous \
@@ -106,29 +106,27 @@ let auto_rule ~n_facts ~classes ~trial plan =
       Printf.sprintf "%s < %d: conditioning once per class" among
         Plan.min_circuit_facts )
   else
-    match plan with
-    | None -> (`Conditioning, among ^ ": conditioning once per class in parallel")
-    | Some pl ->
-      let predicted verdict =
-        Printf.sprintf "~%d predicted nodes (width %d) %s the %d-node budget"
-          pl.Plan.predicted_nodes pl.Plan.max_width verdict
-          Plan.circuit_node_budget
-      in
-      (match Plan.recommend pl ~n_facts:classes with
-       | `Circuit -> (`Circuit, Printf.sprintf "%s for %s" (predicted "within") among)
-       | `Conditioning ->
-         (match Lazy.force trial with
-          | Some c ->
-            ( `Circuit,
-              Printf.sprintf
-                "%s, but the unplanned circuit fits it with %d nodes, for %s"
-                (predicted "exceed") (Circuit.node_count c) among )
-          | None ->
-            ( `Conditioning,
-              Printf.sprintf
-                "%s, and the unplanned circuit overflowed it: conditioning \
-                 once per class for %s"
-                (predicted "exceed") among )))
+    let pl = Lazy.force plan in
+    let predicted verdict =
+      Printf.sprintf "~%d predicted nodes (width %d) %s the %d-node budget"
+        pl.Plan.predicted_nodes pl.Plan.max_width verdict
+        Plan.circuit_node_budget
+    in
+    match Plan.recommend pl ~n_facts:classes with
+    | `Circuit -> (`Circuit, Printf.sprintf "%s for %s" (predicted "within") among)
+    | `Conditioning ->
+      (match Lazy.force trial with
+       | Some c ->
+         ( `Circuit,
+           Printf.sprintf
+             "%s, but the unplanned circuit fits it with %d nodes, for %s"
+             (predicted "exceed") (Circuit.node_count c) among )
+       | None ->
+         ( `Conditioning,
+           Printf.sprintf
+             "%s, and the unplanned circuit overflowed it: conditioning \
+              once per class for %s"
+             (predicted "exceed") among ))
 
 let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     db =
@@ -149,28 +147,20 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     | `Conditioning | `Circuit | `Sample _ -> Symmetry.discrete players
   in
   (* The plan is computed exactly when something will read it: to steer
-     an explicit circuit compilation, or to resolve a serial `Auto with
-     enough classes for the plan to decide.  A parallel `Auto never
-     plans: the circuit evaluator is a whole-universe pass with nothing
-     per-fact to fan out, so at jobs > 1 the ask for parallel
-     conditioning wins.  After a rebuild the previous plan seeds a
-     component-local replan instead of a fresh analysis. *)
-  let analyze () =
-    match prev_plan with
-    | Some previous -> fst (Plan.replan ~tel ~previous phi)
-    | None -> Plan.analyze ~tel phi
-  in
+     an explicit circuit compilation, or when the `Auto rule reaches it
+     (enough classes for the plan to decide).  After a rebuild the
+     previous plan seeds a component-local replan instead of a fresh
+     analysis. *)
   let plan =
-    match requested with
-    | `Circuit -> Some (analyze ())
-    | `Auto when jobs = 1 && Symmetry.count classes >= Plan.min_circuit_facts ->
-      Some (analyze ())
-    | `Auto | `Conditioning | `Sample _ -> None
+    lazy
+      (match prev_plan with
+       | Some previous -> fst (Plan.replan ~tel ~previous phi)
+       | None -> Plan.analyze ~tel phi)
   in
   let resolved, auto_reason, circuit =
     match requested with
     | `Conditioning -> (`Conditioning, None, None)
-    | `Circuit -> (`Circuit, None, None)
+    | `Circuit -> ignore (Lazy.force plan); (`Circuit, None, None)
     (* never auto-selected: an approximate answer must be asked for *)
     | `Sample cfg -> Sample.validate cfg; (`Sample cfg, None, None)
     | `Auto ->
@@ -185,7 +175,11 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
   in
   (* the trial circuit was built without the plan, so the engine keeps
      none, and a rebuild plans afresh *)
-  let plan = match circuit with Some _ -> None | None -> plan in
+  let plan =
+    match circuit with
+    | None when Lazy.is_val plan -> Some (Lazy.force plan)
+    | Some _ | None -> None
+  in
   {
     query;
     db;
@@ -456,24 +450,22 @@ let value_of_fact t which ~name mu =
          (Symmetry.representative t.classes (Symmetry.class_of t.classes i)))
 
 (* The parallel batched path: fan the per-class conditioning out across
-   [t.jobs] domains.  Slot i owns the static slice [i·k/jobs, (i+1)·k/jobs)
-   of the k class representatives and a private memo cache; the pool
-   decides which domain runs which slot (stealing slots off slow
-   siblings), which can change the steal counters but — by slice/cache
-   ownership — never the per-slot counters, let alone a value.  Workers
-   touch no engine state: they read the immutable φ, players and full
-   polynomial, and everything mutable is merged in the calling domain
-   after the join.  Returns one value per class. *)
+   [t.jobs] domains, one per slot.  Slot i owns the static slice
+   [i·k/jobs, (i+1)·k/jobs) of the k class representatives and a private
+   memo cache, so the per-slot counters are as deterministic as the
+   values.  Slots touch no engine state: they read the immutable φ,
+   players and full polynomial, and everything mutable is merged in the
+   calling domain after the join.  Returns one value per class. *)
 let batched_parallel t which =
   let full = full_polynomial t in
   (* [Lazy.force] is not safe from two domains: the workers' [value] only
      reads the table once it is forced here *)
   if which = `Shapley then ignore (Lazy.force t.factorials);
   let k = Symmetry.count t.classes and jobs = t.jobs in
-  (* One trace track per worker slot: slice spans land on the lane of the
-     slot that owns them, giving the Chrome view one row per domain.
-     Forked here (the owning domain), handed to exactly one worker each,
-     joined back after the pool's own Domain.joins. *)
+  (* One trace track per slot: slice spans land on the lane of the slot
+     that owns them, giving the Chrome view one row per domain.  Forked
+     here (the owning domain), handed to exactly one slot each, joined
+     back after [Pool.run] has joined the domains. *)
   let slot_tels =
     Array.init jobs (fun slot ->
         Telemetry.fork t.tel ~track:(slot + 1)
@@ -505,18 +497,14 @@ let batched_parallel t which =
     in
     (values, hi - lo, Compile.Memo.hits memo, Compile.Memo.misses memo)
   in
-  let pool = Pool.create ~domains:jobs in
-  let slots, pool_stats =
-    Pool.map_stats ~chunk:1 pool evaluate_slot (Array.init jobs Fun.id)
-  in
+  let slots = Pool.run jobs evaluate_slot in
   Array.iter (fun stel -> Telemetry.join t.tel stel) slot_tels;
   Telemetry.Counter.add t.conditionings k;
   Telemetry.span t.tel "engine.merge" (fun () ->
       t.par <-
-        Array.mapi
-          (fun i (_, facts, hits, misses) ->
-             { Stats.d_facts = facts; d_hits = hits; d_misses = misses;
-               d_steals = pool_stats.Pool.steals.(i) })
+        Array.map
+          (fun (_, facts, hits, misses) ->
+             { Stats.d_facts = facts; d_hits = hits; d_misses = misses })
           slots;
       Array.concat (List.map (fun (vs, _, _, _) -> vs) (Array.to_list slots)))
 

@@ -25,8 +25,9 @@
     The per-fact conditioning step is embarrassingly parallel — every
     fact's polynomial reads only the shared immutable lineage and the
     full count — so at [jobs > 1] the batched entry points
-    ({!svc_all}, {!banzhaf_all}) fan it out across [jobs] stdlib domains
-    through {!Pool}.
+    ({!svc_all}, {!banzhaf_all}) fan it out across [jobs] stdlib
+    domains, one per static slice ({!Pool.run}).  That is all [jobs]
+    does: it plays no part in resolving [`Auto].
 
     {b Cache-ownership invariant:} a {!Compile.Memo} is an
     unsynchronized [Hashtbl] and must never be mutated from two domains.
@@ -39,8 +40,8 @@
     [i·k/jobs, (i+1)·k/jobs); [k = n] unless [`Auto] merged facts) and
     each value is copied to every member of its class at the members'
     original indices, so output order and values are bit-identical for
-    every [jobs] — only wall clock and the scheduling counters
-    ({!Stats.domain_stat}) can differ.
+    every [jobs] — only wall clock and the per-slot counters
+    ({!Stats.domain_stat}) depend on it.
 
     Every call is instrumented; see {!Stats}. *)
 
@@ -63,7 +64,7 @@ type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
       representative per class is evaluated.  Below
       {!Plan.min_circuit_facts} classes it conditions once per class
       without planning (every hierarchical star lands here: hub and
-      spokes are two classes).  Above the floor a serial instance is
+      spokes are two classes).  Above the floor the instance is
       analyzed by the compilation planner ({!Plan.analyze}), and a
       circuit whose predicted size fits {!Plan.circuit_node_budget}
       ({!Plan.recommend}) is compiled along the plan.  The prediction
@@ -71,9 +72,9 @@ type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
       bound, so an instance predicted past the budget compiles without
       the plan under a cap of that many new nodes ({!trial_circuit}):
       it gets [`Circuit] if the build fits, and conditions once per
-      class only if it overflows.  [`Conditioning] at [jobs > 1].
-      Explicit [`Conditioning] and [`Circuit] stay per fact: they are
-      the references [`Auto] is checked against;
+      class only if it overflows.  The choice is the same at every
+      [jobs].  Explicit [`Conditioning] and [`Circuit] stay per fact:
+      they are the references [`Auto] is checked against;
     - [`Sample cfg]: the anytime sampling estimator ({!Sample}) — the
       only {e approximate} backend, and therefore never auto-selected:
       every answer carries a seeded-deterministic estimate whose
@@ -93,9 +94,10 @@ val create :
     [cache_capacity] bounds the number of memoized sub-formulas (default
     [2{^20}]; results past the bound are recomputed, never wrong) — under
     [`Circuit] the same bound applies to the circuit compiler's
-    formula→node cache.  [jobs] sets the worker-domain count for batched
-    runs: default [1] (fully serial, no domain ever spawned), [0] resolves
-    to {!Pool.recommended_domains}; the circuit backend is always serial.
+    formula→node cache.  [jobs] sets how many domains a batched
+    conditioning run fans out across: default [1] (fully serial, no
+    domain ever spawned), [0] resolves to {!Pool.recommended_domains};
+    the circuit and sample backends are always serial.
     [backend] selects the evaluation strategy (default [`Auto]).
 
     [tel] (default: a private disabled tracer, making every span a free
@@ -195,18 +197,18 @@ val auto_rule :
   n_facts:int ->
   classes:int ->
   trial:Circuit.t option Lazy.t ->
-  Plan.t option ->
+  Plan.t Lazy.t ->
   [ `Circuit | `Conditioning ] * string
 (** The one [`Auto] rule, with a one-line reason naming the class count:
     [`Conditioning] once per class below {!Plan.min_circuit_facts}
-    classes or without a plan (a parallel engine); otherwise [`Circuit]
-    when {!Plan.recommend} on the plan with [~n_facts:classes] predicts
-    a circuit within the budget.  Past the budget the rule forces
+    classes, without forcing the plan; otherwise [`Circuit] when
+    {!Plan.recommend} on the plan with [~n_facts:classes] predicts a
+    circuit within the budget.  Past the budget the rule forces
     [trial], {!trial_circuit}'s outcome, and nowhere else: [`Circuit]
     if the trial fit, with a reason naming the predicted and the real
     node count, and [`Conditioning] once per class if it overflowed.
-    {!create} and {!rebuild} resolve [`Auto] through it; [svc plan]
-    prints it. *)
+    {!create} and {!rebuild} resolve [`Auto] through it at every
+    [jobs]; [svc plan] prints it. *)
 
 val auto_reason : t -> string option
 (** The reason {!auto_rule} gave when this engine resolved [`Auto];
@@ -220,10 +222,10 @@ val classes : t -> Symmetry.t
 
 val plan : t -> Plan.t option
 (** The compilation plan computed at {!create} time: present for an
-    explicit [`Circuit] backend and for a serial [`Auto] with at least
-    {!Plan.min_circuit_facts} classes (where it decided the resolution
-    and will steer any circuit compilation); absent for [`Conditioning],
-    [`Sample], parallel [`Auto] and few-class [`Auto] engines, and for
+    explicit [`Circuit] backend and for an [`Auto] with at least
+    {!Plan.min_circuit_facts} classes, at every [jobs] (where it decided
+    the resolution and will steer any circuit compilation); absent for
+    [`Conditioning], [`Sample] and few-class [`Auto] engines, and for
     an [`Auto] engine whose circuit is {!auto_rule}'s unplanned trial
     (a {!rebuild} of it then plans afresh). *)
 

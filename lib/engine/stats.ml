@@ -2,7 +2,6 @@ type domain_stat = {
   d_facts : int;
   d_hits : int;
   d_misses : int;
-  d_steals : int;
 }
 
 type backend =
@@ -58,18 +57,10 @@ let sum_domains proj s =
 let par_facts s = sum_domains (fun d -> d.d_facts) s
 let par_hits s = sum_domains (fun d -> d.d_hits) s
 let par_misses s = sum_domains (fun d -> d.d_misses) s
-let par_steals s = sum_domains (fun d -> d.d_steals) s
 
 let normalize s =
   {
     s with
-    backend =
-      (match s.backend with
-       | Conditioning c ->
-         Conditioning
-           { c with
-             domains = Array.map (fun d -> { d with d_steals = 0 }) c.domains }
-       | (Circuit _ | Sample _) as b -> b);
     (* span counts are deterministic; only the accumulated durations
        depend on the clock *)
     spans = Array.map (fun (name, count, _) -> (name, count, 0.)) s.spans;
@@ -95,11 +86,10 @@ let to_string s =
          else
            [
              (* summed across domains: the per-slice numbers are stable
-                but verbose, and steal counts are scheduling noise anyway *)
+                but verbose *)
              line "parallel"
-               (Printf.sprintf "%d jobs, %d facts, cache %d hits / %d misses, steals %d"
-                  s.jobs (par_facts s) (par_hits s) (par_misses s)
-                  (par_steals s));
+               (Printf.sprintf "%d jobs, %d facts, cache %d hits / %d misses"
+                  s.jobs (par_facts s) (par_hits s) (par_misses s));
            ])
     | Circuit c ->
       [
@@ -157,7 +147,6 @@ let to_json s =
         ("par_facts", int (par_facts s));
         ("par_cache_hits", int (par_hits s));
         ("par_cache_misses", int (par_misses s));
-        ("par_steals", int (par_steals s));
       ]
     | Circuit c ->
       [

@@ -18,21 +18,17 @@
     disabled tracer records no spans and [spans] is empty.
 
     Determinism: for a given (query, database, jobs, capacity, backend),
-    every field is deterministic {e except} the span durations and the
-    per-domain [d_steals] (which record scheduling choices).  {!normalize}
-    zeroes exactly those, so two runs of the same workload must satisfy
-    [normalize s1 = normalize s2] — the regression test for the
-    deterministic-merge contract.  The per-slot [d_facts]/[d_hits]/
-    [d_misses] are deterministic because work slices are assigned to
-    slots statically, whatever domain ends up running each slice. *)
+    every field is deterministic {e except} the span durations.
+    {!normalize} zeroes exactly those, so two runs of the same workload
+    must satisfy [normalize s1 = normalize s2] — the regression test for
+    the deterministic-merge contract.  The per-slot [d_facts]/[d_hits]/
+    [d_misses] are deterministic because each slot owns a static slice
+    of the work and its own cache. *)
 
 type domain_stat = {
   d_facts : int;  (** endogenous facts evaluated by this worker slot *)
   d_hits : int;  (** this slot's private cache hits *)
   d_misses : int;  (** this slot's private cache misses *)
-  d_steals : int;
-      (** chunks this worker claimed beyond its first
-          (scheduling-dependent; zeroed by {!normalize}) *)
 }
 
 type backend =
@@ -98,9 +94,8 @@ val par_hits : t -> int
 val par_misses : t -> int
 
 val normalize : t -> t
-(** The deterministic projection: span durations and per-domain steal
-    counts zeroed (span {e counts} are deterministic and kept),
-    everything else untouched.  Two runs of the same (query, database,
+(** The deterministic projection: span durations zeroed (span {e counts}
+    are deterministic and kept), everything else untouched.  Two runs of the same (query, database,
     jobs, capacity, backend) produce structurally equal normalized
     records. *)
 
@@ -118,8 +113,8 @@ val to_json : t -> string
     in between come only the resolved backend's keys:
     - conditioning: [cache_hits], [cache_misses], [cache_size],
       [cache_capacity] (JSON [null] when unbounded), [cache_drops],
-      [poly_ops], then [par_facts], [par_cache_hits], [par_cache_misses],
-      [par_steals] (the per-domain counters summed, all [0] at
+      [poly_ops], then [par_facts], [par_cache_hits] and
+      [par_cache_misses] (the per-domain counters summed, all [0] at
       [jobs = 1]);
     - circuit: [circuit_nodes], [circuit_edges], [circuit_smoothing],
       [circuit_cache_hits], [circuit_cache_misses], [circuit_cache_drops];

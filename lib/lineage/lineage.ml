@@ -19,65 +19,14 @@ let crpq_lineage (crpq : Crpq.t) (db : Database.t) : Bform.t =
      lineages; satisfaction under any sub-database implies a solution over
      the full database, so the disjunction over full-database solutions is
      complete. *)
-  let atoms = Crpq.path_atoms crpq in
-  let universe =
-    Term.Sset.union (Fact.Set.consts facts) (Crpq.consts crpq)
-  in
-  let atom_pairs (a : Crpq.path_atom) =
-    let base = Rpq.reachable_pairs a.lang facts in
-    if Regex.nullable a.lang then
-      List.sort_uniq compare
-        (base @ List.map (fun c -> (c, c)) (Term.Sset.elements universe))
-    else base
-  in
-  let constraints = List.map (fun a -> (a, atom_pairs a)) atoms in
-  let solutions = ref [] in
-  let lookup binding (t : Term.t) =
-    match t with
-    | Term.Const c -> Some c
-    | Term.Var v -> Term.Smap.find_opt v binding
-  in
-  let rec solve binding = function
-    | [] -> solutions := binding :: !solutions
-    | ((a : Crpq.path_atom), pairs) :: rest ->
-      List.iter
-        (fun (c, d) ->
-           let ok_src = match lookup binding a.psrc with None -> true | Some x -> x = c in
-           let ok_dst = match lookup binding a.pdst with None -> true | Some x -> x = d in
-           if ok_src && ok_dst then begin
-             let binding =
-               match a.psrc with
-               | Term.Var v -> Term.Smap.add v c binding
-               | Term.Const _ -> binding
-             in
-             let binding =
-               match a.pdst with
-               | Term.Var v -> Term.Smap.add v d binding
-               | Term.Const _ -> binding
-             in
-             solve binding rest
-           end)
-        pairs
-  in
-  solve Term.Smap.empty constraints;
-  (* distinct pair choices can induce the same binding; dedup *)
-  let distinct =
-    let seen = Hashtbl.create 16 in
-    List.filter
-      (fun b ->
-         let key = Term.Smap.bindings b in
-         if Hashtbl.mem seen key then false
-         else begin
-           Hashtbl.add seen key ();
-           true
-         end)
-      !solutions
-  in
   let instantiate binding (a : Crpq.path_atom) =
-    let res t =
-      match lookup binding t with
-      | Some c -> c
-      | None -> invalid_arg "Lineage.crpq: unbound term"
+    let res (t : Term.t) =
+      match t with
+      | Term.Const c -> c
+      | Term.Var v ->
+        (match Term.Smap.find_opt v binding with
+         | Some c -> c
+         | None -> invalid_arg "Lineage.crpq: unbound term")
     in
     Rpq.make a.lang ~src:(res a.psrc) ~dst:(res a.pdst)
   in
@@ -88,8 +37,8 @@ let crpq_lineage (crpq : Crpq.t) (db : Database.t) : Bform.t =
             (List.map
                (fun a ->
                   of_supports db (Rpq.minimal_supports_in (instantiate binding a) facts))
-               atoms))
-       distinct)
+               (Crpq.path_atoms crpq)))
+       (Crpq.bindings crpq facts))
 
 let cqneg_lineage (qn : Cqneg.t) (db : Database.t) : Bform.t =
   let facts = Database.all db in

@@ -1,17 +1,9 @@
-(* Fork/join pool: the calling domain is worker 0, workers 1..d-1 are
-   spawned per map call and always joined before returning (even when a
-   worker raises), so a pool value carries no state between calls and
-   can never wedge.  Chunks are claimed with one [Atomic.fetch_and_add]
-   each; results land in their original slot, making the merge
-   deterministic by construction. *)
-
-type t = { n_domains : int }
-
-let create ~domains =
-  if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
-  { n_domains = domains }
-
-let domains t = t.n_domains
+(* Fork/join over numbered slots: slot 0 runs in the calling domain and
+   every other slot on a domain of its own, spawned by [run] and joined
+   before it returns, so nothing outlives a call.  A slot's outcome is
+   caught where it runs and re-raised in the caller only after every
+   join; results land in their slot, so the merge is deterministic by
+   construction. *)
 
 let recommended_domains () = max 1 (Domain.recommended_domain_count ())
 
@@ -27,86 +19,27 @@ let bench_gate ~required ~host ~cap =
     | Some n -> Some (Printf.sprintf "cap=%d" n)
     | None -> None
 
-type stats = { claims : int array; steals : int array }
-
-let map_stats ?(tel = Telemetry.disabled ()) ?chunk pool f arr =
-  let n = Array.length arr in
-  let d = pool.n_domains in
-  let chunk =
-    match chunk with
-    | Some c when c < 1 -> invalid_arg "Pool.map_stats: chunk must be >= 1"
-    | Some c -> c
-    | None -> max 1 (n / (4 * d))
+let run slots f =
+  if slots < 0 then invalid_arg "Pool.run: slots must be >= 0";
+  let attempt i () =
+    match f i with
+    | v -> Ok v
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
   in
-  let claims = Array.make d 0 in
-  if n = 0 then ([||], { claims; steals = Array.make d 0 })
-  else begin
-    (* One child tracer per worker slot, forked here in the calling
-       domain: workers may not touch a tracer they don't own. *)
-    let tels =
-      Array.init d (fun w ->
-          Telemetry.fork tel ~track:(w + 1)
-            ~name:(Printf.sprintf "worker %d" w))
-    in
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    (* First exception wins by CAS; its presence tells every worker to
-       stop claiming further chunks. *)
-    let failure : (exn * Printexc.raw_backtrace) option Atomic.t =
-      Atomic.make None
-    in
-    let worker w =
-      try
-        let wt = tels.(w) in
-        let continue = ref true in
-        while !continue do
-          if Atomic.get failure <> None then continue := false
-          else begin
-            let lo = Atomic.fetch_and_add next chunk in
-            if lo >= n then continue := false
-            else begin
-              claims.(w) <- claims.(w) + 1;
-              let hi = min n (lo + chunk) in
-              let attrs =
-                if Telemetry.enabled wt then
-                  [ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-                else []
-              in
-              Telemetry.span wt ~attrs "pool.chunk" (fun () ->
-                  for i = lo to hi - 1 do
-                    results.(i) <- Some (f arr.(i))
-                  done)
-            end
-          end
-        done
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        ignore (Atomic.compare_and_set failure None (Some (e, bt)))
-    in
-    (* Never more spawns than chunks: surplus workers would only claim
-       nothing. *)
-    let spawned =
-      List.init
-        (min (d - 1) (((n + chunk - 1) / chunk) - 1))
-        (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-    in
-    worker 0;
-    List.iter Domain.join spawned;
-    Array.iter (fun wt -> Telemetry.join tel wt) tels;
-    let total_claims = Array.fold_left ( + ) 0 claims in
-    Telemetry.Counter.add (Telemetry.counter tel "pool.chunks") total_claims;
-    Telemetry.Counter.add
-      (Telemetry.counter tel "pool.steals")
-      (Array.fold_left (fun acc c -> acc + max 0 (c - 1)) 0 claims);
-    (match Atomic.get failure with
-     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-     | None -> ());
-    let out =
-      Array.map
-        (function Some v -> v | None -> assert false (* all chunks claimed *))
-        results
-    in
-    (out, { claims; steals = Array.map (fun c -> max 0 (c - 1)) claims })
-  end
-
-let map ?chunk pool f arr = fst (map_stats ?chunk pool f arr)
+  (* a slot whose domain cannot be spawned fails with the spawn's
+     exception, and the domains spawned before it are still joined *)
+  let joins =
+    Array.init (max 0 (slots - 1)) (fun i ->
+        match Domain.spawn (attempt (i + 1)) with
+        | d -> fun () -> Domain.join d
+        | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          fun () -> Error (e, bt))
+  in
+  (* in slot order: slot 0 first, in this domain, then every join *)
+  let outcomes =
+    Array.init slots (fun i -> if i = 0 then attempt 0 () else joins.(i - 1) ())
+  in
+  Array.map
+    (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    outcomes

@@ -1,38 +1,16 @@
 (** Dependency-free fork/join parallelism on stdlib [Domain]s.
 
-    A {!t} is a fork/join pool configuration: {!map} fans an array out
-    across [domains] worker domains (the calling domain is worker [0];
-    the remaining workers are spawned per call and joined before the
-    call returns — no background threads outlive a call).  Work is
-    self-scheduled: workers claim chunk indices from a shared [Atomic]
-    counter, so a worker that finishes early {e steals} the chunks a
-    slower sibling never reached.
-
-    The output is position-stable: [map pool f arr] writes [f arr.(i)]
-    to slot [i] of the result whatever domain computed it, so results
-    are bit-identical to [Array.map f arr] for every domain count —
-    parallelism changes wall-clock and scheduling counters, never
-    answers.
+    {!run} evaluates a fixed number of numbered slots: slot [0] in the
+    calling domain and every other slot on a domain of its own, spawned
+    by the call and joined before it returns — no domain outlives a
+    call.  Results are position-stable ([run n f] is [Array.init n f]
+    whichever domain computed each slot), so parallelism changes wall
+    clock, never answers.
 
     [f] must be safe to run concurrently with itself from several
     domains: it must not mutate shared state without synchronization
-    (in particular, stdlib [Hashtbl]s must not be shared across
-    workers — give each chunk its own).  Reading shared immutable data
-    is fine.
-
-    If [f] raises, the first exception (by scheduling order) is
-    re-raised in the caller with its backtrace after all workers have
-    been joined; remaining workers stop claiming chunks, the pool never
-    wedges, and the same pool value is reusable afterwards. *)
-
-type t
-
-val create : domains:int -> t
-(** A pool of [domains] workers ([>= 1]; [1] degrades to sequential
-    [Array.map] with no domain spawned).
-    @raise Invalid_argument if [domains < 1]. *)
-
-val domains : t -> int
+    (in particular, stdlib [Hashtbl]s must not be shared across slots —
+    give each slot its own).  Reading shared immutable data is fine. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()], floored at [1] — the [0 =
@@ -47,28 +25,12 @@ val bench_gate : required:int -> host:int -> cap:int option -> string option
     enforceable.  The string lands verbatim in the bench JSONs'
     ["skipped"] field, so its shape is pinned by a regression test. *)
 
-type stats = {
-  claims : int array;  (** chunks claimed, per worker slot *)
-  steals : int array;
-      (** chunks claimed beyond each worker's first — work that
-          self-scheduling moved off a slower sibling.  Scheduling-
-          dependent: two identical runs may report different steals. *)
-}
-
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ?chunk pool f arr] is [Array.map f arr], computed by all
-    workers in parallel, [chunk] consecutive elements per claim
-    (default: [length / (4 * domains)], floored at 1).
-    @raise Invalid_argument if [chunk < 1]. *)
-
-val map_stats :
-  ?tel:Telemetry.t -> ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array * stats
-(** As {!map}, also reporting per-worker scheduling counters.
-
-    [tel] (default: disabled) records one [pool.chunk] span per claimed
-    chunk, on a per-worker-slot trace track ([worker w] ↦ track [w + 1],
-    forked in the calling domain and joined back after the workers), and
-    accumulates the run's totals into the [pool.chunks] and
-    [pool.steals] counters.  Chunk-to-worker assignment — and therefore
-    which track a given span lands on — is scheduling-dependent; the
-    total span count equals the total claims whatever the schedule. *)
+val run : int -> (int -> 'a) -> 'a array
+(** [run slots f] is [Array.init slots f] with slot [0] run in the
+    calling domain and each slot [1 .. slots - 1] on a domain of its
+    own.  Every spawned domain is joined before [run] returns or
+    raises.  If slots raise (a domain that cannot be spawned counts as
+    its slot raising the spawn's exception), the lowest-numbered
+    slot's exception is re-raised with its backtrace, after every
+    join; nothing carries over to the next call.
+    @raise Invalid_argument if [slots < 0]. *)

@@ -130,8 +130,8 @@ val branch_order : t -> Fact.t list
 val component_count : t -> int
 
 val recommend : t -> n_facts:int -> [ `Circuit | `Conditioning ]
-(** The prediction half of the [`Auto] rule for a serial batched run
-    over [n_facts] endogenous facts: [`Circuit] iff
+(** The prediction half of the [`Auto] rule for a batched run over
+    [n_facts] endogenous facts, at any [jobs]: [`Circuit] iff
     [n_facts >= min_circuit_facts] and
     [predicted_nodes <= circuit_node_budget] — one compilation of a
     width-bounded circuit beats [n_facts] conditioned counts.  Past the

@@ -44,27 +44,35 @@ let is_self_join_free q =
 (* Evaluation: binary CSP over [pairs] relations                       *)
 (* ------------------------------------------------------------------ *)
 
-let eval q facts =
-  let db_consts = Fact.Set.consts facts in
-  let query_consts = consts q in
-  let universe = Term.Sset.union db_consts query_consts in
+(* The one binding-extension search behind [eval] and [bindings].  Each
+   path atom relates the constant pairs its language reaches in [facts];
+   ε also relates any constant of the universe to itself, including
+   constants absent from the database.  [fail_first] searches the atoms
+   by ascending pair count, otherwise in query order; [found] sees every
+   solution in search order and stops the search by returning [true]. *)
+let search ~fail_first q facts found =
+  let universe = Term.Sset.union (Fact.Set.consts facts) (consts q) in
   let atom_pairs a =
     let base = Rpq.reachable_pairs a.lang facts in
     if Regex.nullable a.lang then
-      (* ε also relates any constant of the universe to itself, including
-         constants absent from the database. *)
       List.sort_uniq compare
         (base @ List.map (fun c -> (c, c)) (Term.Sset.elements universe))
     else base
   in
   let constraints = List.map (fun a -> (a, atom_pairs a)) q in
+  let constraints =
+    if fail_first then
+      List.sort (fun (_, p1) (_, p2) -> compare (List.length p1) (List.length p2))
+        constraints
+    else constraints
+  in
   let lookup binding t =
     match t with
     | Term.Const c -> Some c
     | Term.Var v -> Term.Smap.find_opt v binding
   in
   let rec solve binding = function
-    | [] -> true
+    | [] -> found binding
     | (a, pairs) :: rest ->
       List.exists
         (fun (c, d) ->
@@ -82,11 +90,27 @@ let eval q facts =
            end)
         pairs
   in
-  (* order constraints by ascending pair count: fail first *)
-  let ordered =
-    List.sort (fun (_, p1) (_, p2) -> compare (List.length p1) (List.length p2)) constraints
-  in
-  solve Term.Smap.empty ordered
+  solve Term.Smap.empty constraints
+
+let eval q facts = search ~fail_first:true q facts (fun _ -> true)
+
+let bindings q facts =
+  let found = ref [] in
+  ignore
+    (search ~fail_first:false q facts (fun b ->
+         found := b :: !found;
+         false));
+  (* distinct pair choices can induce the same binding; dedup *)
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun b ->
+       let key = Term.Smap.bindings b in
+       if Hashtbl.mem seen key then false
+       else begin
+         Hashtbl.add seen key ();
+         true
+       end)
+    !found
 
 (* ------------------------------------------------------------------ *)
 (* Structure                                                           *)

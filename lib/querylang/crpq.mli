@@ -16,6 +16,18 @@ val rels : t -> Term.Sset.t
 (** Union of the path-atom alphabets (the vocabulary). *)
 
 val eval : t -> Fact.Set.t -> bool
+(** Whether some binding of the variables to constants puts every path
+    atom's endpoints in its language's reachable pairs over the facts
+    (an ε-language also relates each constant of the facts and the query
+    to itself).  The search tries the atoms with the fewest pairs first
+    and stops at the first solution. *)
+
+val bindings : t -> Fact.Set.t -> string Term.Smap.t list
+(** Every distinct solution of the same search, run over the atoms in
+    query order: one binding of every variable per solution, in reverse
+    search order (a binding found twice sits where it was found last).
+    A CRPQ's lineage is a disjunction in this order, so the order is
+    part of the lineage's shape. *)
 
 val is_constant_free : t -> bool
 

@@ -260,6 +260,50 @@ let finish ctx estimates ~total_draws =
     all_converged = Array.for_all (fun e -> e.converged) estimates;
   }
 
+(* The anytime loop of the estimators whose every draw serves every fact
+   ([monte_carlo] and [banzhaf]): rounds of [batch] draws, each in a
+   [sample.round] span, until the Hoeffding width — the same for every
+   fact at a shared draw count — reaches epsilon or the draw budget is
+   spent.  [draw d] runs draw [d], adding each fact's marginal
+   contribution to its entry of [sums]; a fact's estimate is its mean
+   contribution. *)
+let shared_draws ctx tel ~sums draw =
+  let cfg = ctx.cfg in
+  let range = range_of ctx in
+  let log_term = Bound.log_term ~confidence:cfg.confidence ~intervals:1 in
+  let m = ref 0 in
+  let hw = ref range in
+  let stop = ref false in
+  while not !stop do
+    let b = min batch (cfg.max_draws - !m) in
+    Telemetry.span tel
+      ~attrs:
+        (if Telemetry.enabled tel then [ ("draws", string_of_int b) ] else [])
+      "sample.round"
+      (fun () ->
+         for d = !m to !m + b - 1 do
+           draw d
+         done);
+    m := !m + b;
+    hw := Bound.hoeffding ~range ~log_term ~m:!m;
+    if Rational.leq !hw cfg.epsilon || !m >= cfg.max_draws then stop := true
+  done;
+  let estimates =
+    Array.mapi
+      (fun i fact ->
+         {
+           fact;
+           value = Rational.of_ints sums.(i) !m;
+           half_width = !hw;
+           draws = !m;
+           exact_strata = 0;
+           sampled_strata = 0;
+           converged = Rational.leq !hw cfg.epsilon;
+         })
+      ctx.universe
+  in
+  finish ctx estimates ~total_draws:!m
+
 (* ------------------------------------------------------------------ *)
 (* Monte-Carlo permutation sampling (ApproShapley)                     *)
 (* ------------------------------------------------------------------ *)
@@ -273,8 +317,6 @@ let finish ctx estimates ~total_draws =
    Hoeffding width at shared m is the same for every fact. *)
 let monte_carlo ctx tel =
   let cfg = ctx.cfg and n = ctx.n in
-  let range = range_of ctx in
-  let log_term = Bound.log_term ~confidence:cfg.confidence ~intervals:1 in
   let sums = Array.make n 0 in
   let perm = Array.init n Fun.id in
   (* φ(∅) and φ(U) decide whether a monotone permutation has a pivot *)
@@ -328,40 +370,7 @@ let monte_carlo ctx tel =
       Array.fill ctx.present 0 n false
     end
   in
-  let m = ref 0 in
-  let hw = ref range in
-  let stop = ref false in
-  while not !stop do
-    let b = min batch (cfg.max_draws - !m) in
-    Telemetry.span tel
-      ~attrs:
-        (if Telemetry.enabled tel then
-           [ ("draws", string_of_int b) ]
-         else [])
-      "sample.round"
-      (fun () ->
-         for p = !m to !m + b - 1 do
-           one_permutation p
-         done);
-    m := !m + b;
-    hw := Bound.hoeffding ~range ~log_term ~m:!m;
-    if Rational.leq !hw cfg.epsilon || !m >= cfg.max_draws then stop := true
-  done;
-  let estimates =
-    Array.mapi
-      (fun i fact ->
-         {
-           fact;
-           value = Rational.of_ints sums.(i) !m;
-           half_width = !hw;
-           draws = !m;
-           exact_strata = 0;
-           sampled_strata = 0;
-           converged = Rational.leq !hw cfg.epsilon;
-         })
-      ctx.universe
-  in
-  finish ctx estimates ~total_draws:!m
+  shared_draws ctx tel ~sums one_permutation
 
 (* ------------------------------------------------------------------ *)
 (* Stratified / hybrid estimation                                      *)
@@ -611,10 +620,6 @@ let banzhaf ?(tel = Telemetry.disabled ()) cfg ~universe phi =
     Telemetry.span tel "sample.eval" @@ fun () ->
     if n = 0 then finish ctx [||] ~total_draws:0
     else begin
-      let range = range_of ctx in
-      let log_term =
-        Bound.log_term ~confidence:cfg.confidence ~intervals:1
-      in
       let sums = Array.make n 0 in
       let one_draw d =
         let rng = Rng.of_path cfg.seed [ d ] in
@@ -630,40 +635,7 @@ let banzhaf ?(tel = Telemetry.disabled ()) cfg ~universe phi =
           sums.(i) <- sums.(i) + d
         done
       in
-      let m = ref 0 in
-      let hw = ref range in
-      let stop = ref false in
-      while not !stop do
-        let b = min batch (cfg.max_draws - !m) in
-        Telemetry.span tel
-          ~attrs:
-            (if Telemetry.enabled tel then [ ("draws", string_of_int b) ]
-             else [])
-          "sample.round"
-          (fun () ->
-             for d = !m to !m + b - 1 do
-               one_draw d
-             done);
-        m := !m + b;
-        hw := Bound.hoeffding ~range ~log_term ~m:!m;
-        if Rational.leq !hw cfg.epsilon || !m >= cfg.max_draws then
-          stop := true
-      done;
-      let estimates =
-        Array.mapi
-          (fun i fact ->
-             {
-               fact;
-               value = Rational.of_ints sums.(i) !m;
-               half_width = !hw;
-               draws = !m;
-               exact_strata = 0;
-               sampled_strata = 0;
-               converged = Rational.leq !hw cfg.epsilon;
-             })
-          ctx.universe
-      in
-      finish ctx estimates ~total_draws:!m
+      shared_draws ctx tel ~sums one_draw
     end
   in
   record_metrics tel report;

@@ -56,6 +56,7 @@ let create ?(tel = Telemetry.disabled ()) ?(capacity = default_capacity)
     ?(max_frame = Frame.default_max_len) ?(jobs = 1)
     ?(engine_cache_capacity = 1 lsl 20) () =
   if capacity < 1 then invalid_arg "Server.create: capacity must be >= 1";
+  if jobs < 0 then invalid_arg "Server.create: jobs must be >= 0";
   {
     tel;
     dbs = Hashtbl.create 16;

@@ -56,7 +56,7 @@ val create :
     {!default_capacity}); [max_frame] the accepted payload size in
     bytes (default {!Frame.default_max_len}); [jobs] and
     [engine_cache_capacity] are handed to every {!Engine.create}.
-    @raise Invalid_argument if [capacity < 1]. *)
+    @raise Invalid_argument if [capacity < 1] or [jobs < 0]. *)
 
 val default_capacity : int
 (** Default engine-LRU capacity (8). *)

@@ -165,10 +165,11 @@ let test_no_conditioning () =
   Alcotest.(check int) "still zero conditionings" 0 s2.Stats.conditionings;
   Alcotest.(check bool) "same circuit" true (s.Stats.backend = s2.Stats.backend)
 
-(* `Auto resolution: circuit iff serial, past the class floor, and the
-   planner predicts a small circuit, which a complete q_RST grid (24
-   facts, no two interchangeable) gets; a star is two classes (hub and
-   spokes) at any size, so it conditions once per class without a plan *)
+(* `Auto resolution: circuit past the class floor when the planner
+   predicts a small circuit, which a complete q_RST grid (24 facts, no
+   two interchangeable) gets at every jobs; a star is two classes (hub
+   and spokes) at any size, so it conditions once per class without a
+   plan *)
 let test_auto_selection () =
   let q = Query_parse.parse "R(?x), S(?x,?y)" in
   let big = Gen.bipartite ~rows:4 in
@@ -180,8 +181,10 @@ let test_auto_selection () =
   Alcotest.(check bool) "big serial → circuit" true
     (Engine.backend e_big = `Circuit && Engine.auto_reason e_big <> None);
   let e_par = Engine.create ~jobs:2 qrst big in
-  Alcotest.(check bool) "big parallel → conditioning" true
-    (Engine.backend e_par = `Conditioning && Engine.plan e_par = None);
+  Alcotest.(check bool) "big parallel → circuit" true
+    (Engine.backend e_par = `Circuit
+     && Engine.auto_reason e_par = Engine.auto_reason e_big
+     && Engine.plan e_par <> None);
   let e_star = Engine.create q star in
   Alcotest.(check bool) "star → conditioning per class, unplanned" true
     (Engine.backend e_star = `Conditioning
@@ -205,7 +208,7 @@ let test_auto_selection () =
     (fst
        (Engine.auto_rule ~n_facts:n_big ~classes:n_big
           ~trial:(lazy (Alcotest.fail "trial forced within the budget"))
-          (Some grid_plan))
+          (Lazy.from_val grid_plan))
      = `Circuit);
   (* past the budget the unplanned trial decides: a road predicted at
      ~2.3·10⁸ nodes compiles to a few hundred without the plan *)
@@ -234,7 +237,8 @@ let test_auto_selection () =
   let classes = Symmetry.count (Engine.classes e_road) in
   let n_road = Database.size_endo r.Workload.db in
   let overflowed, why =
-    Engine.auto_rule ~n_facts:n_road ~classes ~trial:(lazy None) (Some road_plan)
+    Engine.auto_rule ~n_facts:n_road ~classes ~trial:(lazy None)
+      (Lazy.from_val road_plan)
   in
   Alcotest.(check bool) "overflowed trial → conditioning per class" true
     (overflowed = `Conditioning

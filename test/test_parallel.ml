@@ -6,9 +6,10 @@
    that are structurally equal to each other and to the pre-engine
    per-fact oracle [Svc.svc_all_naive] — same facts, same order, same
    rationals.  On top of the differentials: a determinism regression
-   (two jobs=4 runs are identical, values and normalized stats), and a
-   unit suite for the pool itself (degenerate shapes, exception
-   propagation without wedging). *)
+   (two jobs=4 runs are identical, values and normalized stats), a check
+   that [jobs] leaves the [`Auto] resolution alone, and a unit suite for
+   the pool itself (degenerate shapes, exception propagation without
+   wedging). *)
 
 open Test_util
 
@@ -23,54 +24,62 @@ let values_equal v1 v2 =
 (* ------------------------------------------------------------------ *)
 
 let test_pool_empty () =
-  let pool = Pool.create ~domains:4 in
-  Alcotest.(check (array int)) "empty in, empty out" [||]
-    (Pool.map pool (fun x -> x + 1) [||])
+  Alcotest.(check (array int)) "no slots, empty out" [||]
+    (Pool.run 0 (fun _ -> Alcotest.fail "no slot may run"))
 
 let test_pool_single () =
-  let pool = Pool.create ~domains:4 in
-  Alcotest.(check (array int)) "one item" [| 42 |]
-    (Pool.map pool (fun x -> x * 2) [| 21 |])
+  let caller = Domain.self () in
+  Alcotest.(check (array bool)) "one slot, run in the caller" [| true |]
+    (Pool.run 1 (fun _ -> Domain.self () = caller))
 
-let test_pool_fewer_items_than_domains () =
-  let pool = Pool.create ~domains:8 in
-  let out, stats = Pool.map_stats ~chunk:1 pool string_of_int [| 1; 2; 3 |] in
-  Alcotest.(check (array string)) "3 items on 8 domains" [| "1"; "2"; "3" |] out;
-  Alcotest.(check int) "every chunk claimed exactly once" 3
-    (Array.fold_left ( + ) 0 stats.Pool.claims)
-
-let test_pool_matches_array_map () =
-  let input = Array.init 257 (fun i -> i - 128) in
-  let f x = (x * x) - (3 * x) + 1 in
+let test_pool_matches_array_init () =
   List.iter
-    (fun (domains, chunk) ->
-       let pool = Pool.create ~domains in
+    (fun slots ->
        Alcotest.(check (array int))
-         (Printf.sprintf "domains=%d chunk=%d" domains chunk)
-         (Array.map f input)
-         (Pool.map ~chunk pool f input))
-    [ (1, 1); (2, 7); (4, 1); (4, 64); (3, 500) ]
+         (Printf.sprintf "%d slots" slots)
+         (Array.init slots (fun i -> (i * i) - 3))
+         (Pool.run slots (fun i -> (i * i) - 3)))
+    [ 0; 1; 2; 4 ];
+  let caller = (Domain.self () :> int) in
+  let ids = Pool.run 4 (fun _ -> (Domain.self () :> int)) in
+  Alcotest.(check int) "slot 0 runs in the caller" caller ids.(0);
+  Alcotest.(check int) "one domain per slot" 4
+    (List.length (List.sort_uniq compare (Array.to_list ids)))
 
+(* Slots 1 and 2 both raise, slot 2 first in time: [run] reports slot 1,
+   and only after joining slot 3, which is still running when slot 1
+   raises. *)
 let test_pool_exception () =
-  let pool = Pool.create ~domains:4 in
-  let boom = Failure "worker exploded" in
-  Alcotest.check_raises "exception propagates" boom (fun () ->
-      ignore
-        (Pool.map ~chunk:1 pool
-           (fun x -> if x = 5 then raise boom else x)
-           (Array.init 32 Fun.id)));
-  (* the pool never wedges: the same value is immediately reusable *)
-  Alcotest.(check (array int)) "pool survives a raising worker"
-    (Array.init 32 succ)
-    (Pool.map ~chunk:1 pool succ (Array.init 32 Fun.id))
+  let two_raised = Atomic.make false and one_raised = Atomic.make false in
+  let three_done = Atomic.make false in
+  let await flag = while not (Atomic.get flag) do Domain.cpu_relax () done in
+  let slot = function
+    | 1 ->
+      await two_raised;
+      Atomic.set one_raised true;
+      failwith "slot 1"
+    | 2 ->
+      Atomic.set two_raised true;
+      failwith "slot 2"
+    | 3 ->
+      await one_raised;
+      let acc = ref 0 in
+      for i = 1 to 2_000_000 do acc := Sys.opaque_identity (!acc + i) done;
+      Atomic.set three_done true;
+      3
+    | i -> i
+  in
+  Alcotest.check_raises "the lowest-numbered slot's exception"
+    (Failure "slot 1") (fun () -> ignore (Pool.run 4 slot));
+  Alcotest.(check bool) "every domain joined before the raise" true
+    (Atomic.get three_done);
+  Alcotest.(check (array int)) "the next run succeeds" [| 0; 1; 2; 3 |]
+    (Pool.run 4 Fun.id)
 
 let test_pool_guards () =
-  Alcotest.check_raises "zero domains"
-    (Invalid_argument "Pool.create: domains must be >= 1") (fun () ->
-        ignore (Pool.create ~domains:0));
-  Alcotest.check_raises "zero chunk"
-    (Invalid_argument "Pool.map_stats: chunk must be >= 1") (fun () ->
-        ignore (Pool.map ~chunk:0 (Pool.create ~domains:2) Fun.id [| 1 |]));
+  Alcotest.check_raises "negative slot count"
+    (Invalid_argument "Pool.run: slots must be >= 0") (fun () ->
+        ignore (Pool.run (-1) Fun.id));
   Alcotest.(check bool) "recommended_domains >= 1" true
     (Pool.recommended_domains () >= 1)
 
@@ -129,6 +138,30 @@ let prop_auto_jobs_and_tiny_cache =
        Engine.jobs auto >= 1
        && values_equal reference (Engine.svc_all auto)
        && values_equal reference (Engine.svc_all squeezed))
+
+(* `Auto is one function at every jobs: on every registry family the
+   resolved backend and the rule's reason at jobs ∈ {2, 4} equal those at
+   jobs = 1 *)
+let prop_auto_same_at_every_jobs =
+  qcheck ~count:100 "auto resolves the same at every jobs"
+    QCheck2.Gen.(pair (int_range 1 3) (int_range 1 4))
+    (fun (seed, size) ->
+       List.for_all
+         (fun (fam : Workload.Family.t) ->
+            let c = Workload.generate ~family:fam.name ~seed ~size in
+            let resolve jobs =
+              let e = Engine.create ~jobs c.Workload.query c.Workload.db in
+              (Engine.backend e, Engine.auto_reason e)
+            in
+            let serial = resolve 1 in
+            List.for_all
+              (fun jobs ->
+                 resolve jobs = serial
+                 || QCheck2.Test.fail_reportf
+                      "%s seed %d size %d: jobs=%d resolves unlike jobs=1"
+                      fam.name seed size jobs)
+              [ 2; 4 ])
+         (Workload.families ()))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism regression: two jobs=4 runs of the same workload are    *)
@@ -218,9 +251,8 @@ let suite =
   [
     Alcotest.test_case "pool: empty array" `Quick test_pool_empty;
     Alcotest.test_case "pool: single item" `Quick test_pool_single;
-    Alcotest.test_case "pool: fewer items than domains" `Quick
-      test_pool_fewer_items_than_domains;
-    Alcotest.test_case "pool: map = Array.map" `Quick test_pool_matches_array_map;
+    Alcotest.test_case "pool: run = Array.init" `Quick
+      test_pool_matches_array_init;
     Alcotest.test_case "pool: exceptions propagate, pool survives" `Quick
       test_pool_exception;
     Alcotest.test_case "pool: guards" `Quick test_pool_guards;
@@ -230,6 +262,7 @@ let suite =
     prop_jobs_vs_naive_graph;
     prop_banzhaf_parallel;
     prop_auto_jobs_and_tiny_cache;
+    prop_auto_same_at_every_jobs;
     Alcotest.test_case "determinism regression at jobs=4" `Quick
       test_determinism_regression;
     Alcotest.test_case "parallel stats shape" `Quick test_parallel_stats_shape;

@@ -344,6 +344,20 @@ let test_oversized_recoverable () =
     (jstr (List.nth out 0) "error");
   Alcotest.(check bool) "session continues" true (jok (List.nth out 1))
 
+(* A bad server setting is refused at creation, not blamed on the first
+   request that reaches the engine. *)
+let test_create_guards () =
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Server.create: capacity must be >= 1") (fun () ->
+        ignore (Server.create ~capacity:0 ()));
+  Alcotest.check_raises "negative jobs"
+    (Invalid_argument "Server.create: jobs must be >= 0") (fun () ->
+        ignore (Server.create ~jobs:(-1) ()));
+  let s = Server.create ~jobs:0 () in
+  Server.load_db s ~name:"d" ~text:db_text;
+  let out = read_all (Server.serve_string s (session [ eval_req () ])) in
+  Alcotest.(check bool) "jobs 0 serves" true (jok (List.hd out))
+
 let test_truncated_eof () =
   let s = mk_server () in
   let out = read_all (Server.serve_string s "10\n{\"op\"") in
@@ -576,4 +590,6 @@ let suite =
     Alcotest.test_case "shutdown stops the loop" `Quick test_shutdown_stops;
     fuzz_mangled_readonly;
     fuzz_mangled_mutating;
+    Alcotest.test_case "create refuses bad settings" `Quick
+      test_create_guards;
   ]

@@ -250,11 +250,9 @@ let test_tracejson_malformed () =
 
 let strip_wallclock text =
   (* compare JSON field-for-field with the span rollup (absent with
-     telemetry off) and the scheduling-dependent steal count neutralized *)
+     telemetry off) neutralized *)
   List.map
-    (fun (k, v) ->
-       if List.mem k [ "spans"; "par_steals" ] then (k, Tracejson.Null)
-       else (k, v))
+    (fun (k, v) -> if k = "spans" then (k, Tracejson.Null) else (k, v))
     (json_fields text)
 
 let backends_jobs =
@@ -393,30 +391,6 @@ let test_parallel_lanes_match_stats () =
           | _ -> acc)
        0 slices)
 
-let test_pool_telemetry () =
-  let tel = Telemetry.create ~enabled:true () in
-  let pool = Pool.create ~domains:3 in
-  let out, stats =
-    Pool.map_stats ~tel ~chunk:2 pool (fun x -> x * x) (Array.init 10 Fun.id)
-  in
-  Alcotest.(check (array int)) "values unchanged"
-    (Array.init 10 (fun i -> i * i)) out;
-  let total_claims = Array.fold_left ( + ) 0 stats.Pool.claims in
-  Alcotest.(check int) "pool.chunks counter = total claims" total_claims
-    (Telemetry.Counter.value (Telemetry.counter tel "pool.chunks"));
-  let chunk_spans =
-    List.filter
-      (fun e -> e.Telemetry.ev_name = "pool.chunk")
-      (Telemetry.events tel)
-  in
-  Alcotest.(check int) "one span per claimed chunk" total_claims
-    (List.length chunk_spans);
-  (* spans land on tracks 1..domains, never the caller's track 0 *)
-  Alcotest.(check bool) "spans on worker tracks" true
-    (List.for_all
-       (fun e -> e.Telemetry.ev_track >= 1 && e.Telemetry.ev_track <= 3)
-       chunk_spans)
-
 let suite =
   [
     Alcotest.test_case "fake clock" `Quick test_fake_clock;
@@ -441,6 +415,4 @@ let suite =
       test_fake_clock_stats;
     Alcotest.test_case "parallel trace lanes match par_* stats" `Quick
       test_parallel_lanes_match_stats;
-    Alcotest.test_case "pool chunk spans and counters" `Quick
-      test_pool_telemetry;
   ]

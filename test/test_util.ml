@@ -44,7 +44,7 @@ let stats_json_keys backend =
     | "conditioning" ->
       [ "cache_hits"; "cache_misses"; "cache_size"; "cache_capacity";
         "cache_drops"; "poly_ops"; "par_facts"; "par_cache_hits";
-        "par_cache_misses"; "par_steals" ]
+        "par_cache_misses" ]
     | "circuit" ->
       [ "circuit_nodes"; "circuit_edges"; "circuit_smoothing";
         "circuit_cache_hits"; "circuit_cache_misses"; "circuit_cache_drops" ]
