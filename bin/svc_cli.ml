@@ -16,8 +16,19 @@ let query_arg pos_i =
   in
   Arg.(required & pos pos_i (some string) None & info [] ~docv:"QUERY" ~doc)
 
-let load_db path = Db_text.load path
-let parse_query s = Query_parse.parse s
+(* Input errors exit 2 with a "svc CMD:" line, as bad options do. *)
+let load_db cmd path =
+  try Db_text.load path
+  with Invalid_argument msg ->
+    Printf.eprintf "svc %s: %s: %s\n" cmd path msg;
+    exit 2
+
+let parse_query cmd s =
+  match Query_parse.parse_result s with
+  | Ok q -> q
+  | Error d ->
+    Printf.eprintf "svc %s: %s\n" cmd (Query_parse.diagnostic_to_string d);
+    exit 2
 
 (* The value block of [shapley], [eval] and [banzhaf]: one line per fact,
    largest value first. *)
@@ -38,8 +49,8 @@ let print_shapley_values values =
 
 let shapley_cmd =
   let run db_path query_str =
-    let db = load_db db_path in
-    let q = parse_query query_str in
+    let db = load_db "shapley" db_path in
+    let q = parse_query "shapley" query_str in
     print_shapley_values (Svc.svc_all q db)
   in
   let doc = "Shapley value of every endogenous fact (SVC_q)." in
@@ -83,9 +94,9 @@ let eval_cmd =
          that compile overflows; the $(b,note:) line gives the reason), \
          or $(b,sample) (seeded anytime estimation with rational \
          confidence intervals — the only approximate backend, never \
-         auto-selected; see $(b,--seed), $(b,--epsilon), \
-         $(b,--max-draws), $(b,--strategy)).  The exact backends produce \
-         identical values for every choice."
+         auto-selected: permutation sampling, see $(b,--seed), \
+         $(b,--epsilon) and $(b,--max-draws)).  The exact backends \
+         produce identical values for every choice."
         Plan.min_circuit_facts Plan.circuit_node_budget
     in
     Arg.(value & opt string "auto" & info [ "backend" ] ~docv:"BACKEND" ~doc)
@@ -104,16 +115,8 @@ let eval_cmd =
   in
   let max_draws_arg =
     Arg.(value & opt int 4096 & info [ "max-draws" ] ~docv:"K"
-           ~doc:"Sampling backend: draw budget (default 4096) — shared \
-                 permutations under $(b,--strategy mc), per-fact draws \
-                 under the stratified strategies.")
-  in
-  let strategy_arg =
-    Arg.(value & opt string "hybrid" & info [ "strategy" ] ~docv:"S"
-           ~doc:"Sampling backend: $(b,mc) (permutation sampling), \
-                 $(b,stratified) (per-coalition-size strata), or \
-                 $(b,hybrid) (default: cheap strata enumerated exactly, \
-                 expensive ones sampled).")
+           ~doc:"Sampling backend: draw budget (default 4096) in random \
+                 permutations, each one a draw for every fact at once.")
   in
   let plan_flag =
     Arg.(value & flag
@@ -132,7 +135,7 @@ let eval_cmd =
                  $(b,svc trace summary).")
   in
   let run db_path query_str stats cache_capacity jobs backend seed epsilon
-      max_draws strategy show_plan trace =
+      max_draws show_plan trace =
     if jobs < 0 then begin
       Printf.eprintf "svc eval: --jobs must be >= 0 (got %d)\n" jobs;
       exit 2
@@ -143,16 +146,6 @@ let eval_cmd =
       | "conditioning" -> `Conditioning
       | "circuit" -> `Circuit
       | "sample" ->
-        let strategy =
-          match Sample.strategy_of_string strategy with
-          | Some s -> s
-          | None ->
-            Printf.eprintf
-              "svc eval: unknown strategy %S (expected mc, stratified or \
-               hybrid)\n"
-              strategy;
-            exit 2
-        in
         let epsilon =
           match Rational.of_string epsilon with
           | e when Rational.sign e > 0 -> e
@@ -171,7 +164,7 @@ let eval_cmd =
             max_draws;
           exit 2
         end;
-        `Sample (Sample.config ~strategy ~seed ~epsilon ~max_draws ())
+        `Sample (Sample.config ~seed ~epsilon ~max_draws ())
       | other ->
         Printf.eprintf
           "svc eval: unknown backend %S (expected auto, conditioning, \
@@ -179,8 +172,8 @@ let eval_cmd =
           other;
         exit 2
     in
-    let db = load_db db_path in
-    let q = parse_query query_str in
+    let db = load_db "eval" db_path in
+    let q = parse_query "eval" query_str in
     (* --stats reads its durations off the spans, so it records them too *)
     let tel = Telemetry.create ~enabled:(trace <> None || stats <> None) () in
     let e = Engine.create ~tel ?cache_capacity ~jobs ~backend q db in
@@ -227,7 +220,7 @@ let eval_cmd =
   Cmd.v (Cmd.info "eval" ~doc)
     Term.(const run $ db_arg $ query_arg 1 $ stats_arg $ cache_arg $ jobs_arg
           $ backend_arg $ seed_arg $ epsilon_arg $ max_draws_arg
-          $ strategy_arg $ plan_flag $ trace_arg)
+          $ plan_flag $ trace_arg)
 
 (* ---------------- plan ---------------- *)
 
@@ -253,8 +246,8 @@ let plan_cmd =
           heuristic;
         exit 2
     in
-    let db = load_db db_path in
-    let q = parse_query query_str in
+    let db = load_db "plan" db_path in
+    let q = parse_query "plan" query_str in
     let phi = Lineage.lineage q db in
     let pl = Plan.analyze ~heuristic phi in
     let players = Array.of_list (Database.endo_list db) in
@@ -314,8 +307,8 @@ let count_cmd =
            ~doc:"Report only FGMC(D, $(docv)).")
   in
   let run db_path query_str size =
-    let db = load_db db_path in
-    let q = parse_query query_str in
+    let db = load_db "count" db_path in
+    let q = parse_query "count" query_str in
     let poly = Model_counting.fgmc_polynomial q db in
     (match size with
      | Some n -> Printf.printf "FGMC(D, %d) = %s\n" n (Bigint.to_string (Poly.Z.coeff poly n))
@@ -334,8 +327,8 @@ let prob_cmd =
            ~doc:"Probability of each endogenous fact (rational, e.g. 1/3).")
   in
   let run db_path query_str p_str =
-    let db = load_db db_path in
-    let q = parse_query query_str in
+    let db = load_db "prob" db_path in
+    let q = parse_query "prob" query_str in
     let p = Rational.of_string p_str in
     let pr = Pqe.sppqe q db p in
     Printf.printf "Pr(D ⊨ q) = %s  (≈ %.6f)\n" (Rational.to_string pr) (Rational.to_float pr)
@@ -350,7 +343,7 @@ let prob_cmd =
 
 let classify_cmd =
   let run query_str =
-    let q = parse_query query_str in
+    let q = parse_query "classify" query_str in
     let j = Classify.classify q in
     Printf.printf "query  : %s\n" (Query.to_string q);
     Printf.printf "verdict: %s\n" (Classify.verdict_to_string j.Classify.verdict);
@@ -363,8 +356,8 @@ let classify_cmd =
 
 let reduce_cmd =
   let run db_path query_str =
-    let db = load_db db_path in
-    let q = parse_query query_str in
+    let db = load_db "reduce" db_path in
+    let q = parse_query "reduce" query_str in
     let svc = Oracle.svc_of q in
     match Fgmc_to_svc.lemma41_auto ~svc ~query:q db with
     | Some poly ->
@@ -389,8 +382,8 @@ let reduce_cmd =
 
 let max_cmd =
   let run db_path query_str =
-    let db = load_db db_path in
-    let q = parse_query query_str in
+    let db = load_db "max" db_path in
+    let q = parse_query "max" query_str in
     match Max_svc.max_svc q db with
     | Some (f, v) ->
       Printf.printf "max contributor: %s with value %s\n" (Fact.to_string f)
@@ -404,8 +397,8 @@ let max_cmd =
 
 let banzhaf_cmd =
   let run db_path query_str =
-    let db = load_db db_path in
-    let q = parse_query query_str in
+    let db = load_db "banzhaf" db_path in
+    let q = parse_query "banzhaf" query_str in
     print_values (Engine.banzhaf_all (Svc.engine q db))
   in
   let doc =
@@ -418,8 +411,8 @@ let banzhaf_cmd =
 
 let lineage_cmd =
   let run db_path query_str =
-    let db = load_db db_path in
-    let q = parse_query query_str in
+    let db = load_db "lineage" db_path in
+    let q = parse_query "lineage" query_str in
     let phi = Lineage.lineage q db in
     Printf.printf "lineage: %s\n" (Format.asprintf "%a" Bform.pp phi);
     Printf.printf "size   : %d nodes over %d fact variables\n" (Bform.size phi)
@@ -438,8 +431,8 @@ let lineage_cmd =
 
 let explain_cmd =
   let run db_path query_str =
-    let db = load_db db_path in
-    let q = parse_query query_str in
+    let db = load_db "explain" db_path in
+    let q = parse_query "explain" query_str in
     Printf.printf "query    : %s\n" (Query.to_string q);
     Printf.printf "answer   : %b\n" (Query.holds q db);
     let j = Classify.classify q in

@@ -556,24 +556,20 @@ let stats t =
           cache_misses = count Circuit.cache_misses;
           cache_drops = count Circuit.cache_drops }
     | `Sample cfg ->
-      let draws, exact_strata, sampled_strata, max_hw, converged =
+      let draws, max_hw, familywise_hw, converged =
         match sample_report t with
-        | None -> (0, 0, 0, "0", false)
+        | None -> (0, Rational.zero, Rational.zero, false)
         | Some r ->
-          let sum f = Array.fold_left (fun a e -> a + f e) 0 r.Sample.estimates in
           ( r.Sample.total_draws,
-            sum (fun e -> e.Sample.exact_strata),
-            sum (fun e -> e.Sample.sampled_strata),
-            Rational.to_string r.Sample.max_half_width,
+            r.Sample.max_half_width,
+            r.Sample.familywise_half_width,
             r.Sample.all_converged )
       in
       Stats.Sample
-        { strategy = Sample.strategy_to_string cfg.Sample.strategy;
-          seed = cfg.Sample.seed;
+        { seed = cfg.Sample.seed;
           draws;
-          exact_strata;
-          sampled_strata;
-          max_hw;
+          max_hw = Rational.to_string max_hw;
+          familywise_hw = Rational.to_string familywise_hw;
           epsilon = Rational.to_string cfg.Sample.epsilon;
           confidence = Rational.to_string cfg.Sample.confidence;
           converged }

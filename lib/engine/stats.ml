@@ -23,12 +23,10 @@ type backend =
       cache_drops : int;
     }
   | Sample of {
-      strategy : string;
       seed : int;
       draws : int;
-      exact_strata : int;
-      sampled_strata : int;
       max_hw : string;
+      familywise_hw : string;
       epsilon : string;
       confidence : string;
       converged : bool;
@@ -103,11 +101,12 @@ let to_string s =
     | Sample x ->
       [
         line "sampling"
-          (Printf.sprintf "%s, seed %d, %d draws, %d/%d strata exact/sampled"
-             x.strategy x.seed x.draws x.exact_strata x.sampled_strata);
+          (Printf.sprintf "seed %d, %d draws" x.seed x.draws);
         line "ci"
-          (Printf.sprintf "half-width <= %s (target %s at confidence %s) — %s"
-             x.max_hw x.epsilon x.confidence
+          (Printf.sprintf
+             "half-width <= %s per fact, <= %s familywise (target %s at \
+              confidence %s) — %s"
+             x.max_hw x.familywise_hw x.epsilon x.confidence
              (if x.converged then "converged" else "budget exhausted"));
       ]
   in
@@ -159,12 +158,10 @@ let to_json s =
       ]
     | Sample x ->
       [
-        ("sample_strategy", Str x.strategy);
         ("sample_seed", int x.seed);
         ("sample_draws", int x.draws);
-        ("sample_exact_strata", int x.exact_strata);
-        ("sample_sampled_strata", int x.sampled_strata);
         ("sample_max_hw", Str x.max_hw);
+        ("sample_familywise_hw", Str x.familywise_hw);
         ("sample_epsilon", Str x.epsilon);
         ("sample_confidence", Str x.confidence);
         ("sample_converged", Bool x.converged);

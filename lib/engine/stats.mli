@@ -57,20 +57,20 @@ type backend =
     }
       (** All zero until the first answer compiles the circuit. *)
   | Sample of {
-      strategy : string;  (** ["mc"] / ["stratified"] / ["hybrid"] *)
       seed : int;
       draws : int;  (** {!Sample.report.total_draws} of the last run *)
-      exact_strata : int;  (** strata enumerated exactly, summed over facts *)
-      sampled_strata : int;
       max_hw : string;
-          (** exact rational string of the largest reported CI half-width *)
+          (** exact rational string of the per-fact CI half-width *)
+      familywise_hw : string;
+          (** {!Sample.report.familywise_half_width}: the half-width at
+              which every fact's interval holds at once *)
       epsilon : string;  (** the configured target, exact rational *)
       confidence : string;
       converged : bool;
           (** every fact's half-width hit the [epsilon] target in budget *)
     }
       (** The configuration and the report of the last run (before any
-          run: draws and strata [0], [max_hw] ["0"], [converged]
+          run: draws [0], both half-widths ["0"], [converged]
           [false]). *)
 
 type t = {
@@ -118,9 +118,9 @@ val to_json : t -> string
       [jobs = 1]);
     - circuit: [circuit_nodes], [circuit_edges], [circuit_smoothing],
       [circuit_cache_hits], [circuit_cache_misses], [circuit_cache_drops];
-    - sample: [sample_strategy], [sample_seed], [sample_draws],
-      [sample_exact_strata], [sample_sampled_strata], [sample_max_hw],
-      [sample_epsilon], [sample_confidence], [sample_converged].
+    - sample: [sample_seed], [sample_draws], [sample_max_hw],
+      [sample_familywise_hw], [sample_epsilon], [sample_confidence],
+      [sample_converged].
 
     [spans] maps each span name to [{"count":N,"ms":D}], in name order
     — the only durations in the record. *)

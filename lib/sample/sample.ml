@@ -1,51 +1,32 @@
-(* Anytime sampling SVC estimator.
+(* Anytime sampling SVC estimator: ApproShapley permutation sampling.
 
    Everything here is exact rational arithmetic over integer draw sums:
    the only randomness is the seeded PRNG, so a run is a pure function
    of (lineage, universe, config) — the determinism contract the test
    layer pins (same seed => bit-identical report at any jobs count).
 
-   The stratified view: for a universe U with |U| = n and μ ∈ U,
+   Sh(μ) is the expected marginal contribution of μ to the coalition of
+   facts that precede it in a uniform random permutation of U, so one
+   permutation yields one draw for every fact at once, and the Hoeffding
+   width at a shared draw count is the same for every fact. *)
 
-     Sh(μ) = (1/n) Σ_{k=0}^{n-1} E_k(μ),
-     E_k(μ) = (FGMC_k(φ[μ:=1]) - FGMC_k(φ[μ:=0])) / C(n-1, k)
-
-   — the expected marginal contribution of μ over uniform size-k
-   coalitions of U∖{μ}.  Since (1/n)/C(n-1,k) = k!(n-1-k)!/n!, a stratum
-   computed exactly contributes its Claim A.1 terms verbatim, which is
-   why the hybrid estimator with every stratum exact equals the exact
-   engines rationally, not just approximately. *)
-
-type strategy = Monte_carlo | Stratified | Hybrid
-
-let strategy_to_string = function
-  | Monte_carlo -> "mc"
-  | Stratified -> "stratified"
-  | Hybrid -> "hybrid"
-
-let strategy_of_string = function
-  | "mc" | "monte-carlo" -> Some Monte_carlo
-  | "stratified" -> Some Stratified
-  | "hybrid" -> Some Hybrid
-  | _ -> None
+(* Kept, with [config]'s ignored [?strategy], only for
+   perfbench/svcbench.ml, which still names the estimator it wants. *)
+type strategy = Monte_carlo
 
 type config = {
-  strategy : strategy;
   seed : int;
   epsilon : Rational.t;
   confidence : Rational.t;
   max_draws : int;
-  exact_cap : int;
 }
 
 let default =
   {
-    strategy = Hybrid;
     seed = 0;
     epsilon = Rational.of_ints 1 20;
     confidence = Rational.of_ints 19 20;
     max_draws = 4096;
-    exact_cap = 512;
   }
 
 (* Draws between stopping-rule checks. *)
@@ -57,13 +38,12 @@ let validate cfg =
   if Rational.sign cfg.confidence <= 0
      || not (Rational.lt cfg.confidence Rational.one) then
     invalid_arg "Sample: confidence must be in (0, 1)";
-  if cfg.max_draws < 1 then invalid_arg "Sample: max_draws must be >= 1";
-  if cfg.exact_cap < 0 then invalid_arg "Sample: exact_cap must be >= 0"
+  if cfg.max_draws < 1 then invalid_arg "Sample: max_draws must be >= 1"
 
-let config ?(strategy = default.strategy) ?(seed = default.seed)
+let config ?strategy:(_ : strategy option) ?(seed = default.seed)
     ?(epsilon = default.epsilon) ?(confidence = default.confidence)
-    ?(max_draws = default.max_draws) ?(exact_cap = default.exact_cap) () =
-  let cfg = { strategy; seed; epsilon; confidence; max_draws; exact_cap } in
+    ?(max_draws = default.max_draws) () =
+  let cfg = { seed; epsilon; confidence; max_draws } in
   validate cfg;
   cfg
 
@@ -71,10 +51,6 @@ type estimate = {
   fact : Fact.t;
   value : Rational.t;
   half_width : Rational.t;
-  draws : int;
-  exact_strata : int;
-  sampled_strata : int;
-  converged : bool;
 }
 
 type report = {
@@ -82,6 +58,7 @@ type report = {
   total_draws : int;
   total_evals : int;
   max_half_width : Rational.t;
+  familywise_half_width : Rational.t;
   all_converged : bool;
 }
 
@@ -246,27 +223,41 @@ let b2i b = if b then 1 else 0
    lineages, {-1,0,1} otherwise *)
 let range_of ctx = if ctx.mono then Rational.one else Rational.of_int 2
 
-let finish ctx estimates ~total_draws =
-  let max_hw =
-    Array.fold_left
-      (fun acc e -> Rational.max acc e.half_width)
-      Rational.zero estimates
+(* The report after [m] shared draws whose per-fact width is [hw]: a
+   fact's estimate is its mean contribution, and the familywise width
+   widens [hw]'s log term by a union bound over the n facts.  An empty
+   universe takes no draw and reports width 0. *)
+let finish ctx ~sums ~m ~hw =
+  let cfg = ctx.cfg in
+  let familywise =
+    if m = 0 then Rational.zero
+    else
+      Bound.hoeffding ~range:(range_of ctx)
+        ~log_term:
+          (Bound.log_term ~confidence:cfg.confidence ~intervals:ctx.n)
+        ~m
   in
   {
-    estimates;
-    total_draws;
+    estimates =
+      Array.mapi
+        (fun i fact ->
+           { fact; value = Rational.of_ints sums.(i) m; half_width = hw })
+        ctx.universe;
+    total_draws = m;
     total_evals = !(ctx.evals);
-    max_half_width = max_hw;
-    all_converged = Array.for_all (fun e -> e.converged) estimates;
+    max_half_width = hw;
+    familywise_half_width = familywise;
+    all_converged = Rational.leq hw cfg.epsilon;
   }
+
+let empty_report ctx = finish ctx ~sums:[||] ~m:0 ~hw:Rational.zero
 
 (* The anytime loop of the estimators whose every draw serves every fact
    ([monte_carlo] and [banzhaf]): rounds of [batch] draws, each in a
    [sample.round] span, until the Hoeffding width — the same for every
    fact at a shared draw count — reaches epsilon or the draw budget is
    spent.  [draw d] runs draw [d], adding each fact's marginal
-   contribution to its entry of [sums]; a fact's estimate is its mean
-   contribution. *)
+   contribution to its entry of [sums]. *)
 let shared_draws ctx tel ~sums draw =
   let cfg = ctx.cfg in
   let range = range_of ctx in
@@ -288,21 +279,7 @@ let shared_draws ctx tel ~sums draw =
     hw := Bound.hoeffding ~range ~log_term ~m:!m;
     if Rational.leq !hw cfg.epsilon || !m >= cfg.max_draws then stop := true
   done;
-  let estimates =
-    Array.mapi
-      (fun i fact ->
-         {
-           fact;
-           value = Rational.of_ints sums.(i) !m;
-           half_width = !hw;
-           draws = !m;
-           exact_strata = 0;
-           sampled_strata = 0;
-           converged = Rational.leq !hw cfg.epsilon;
-         })
-      ctx.universe
-  in
-  finish ctx estimates ~total_draws:!m
+  finish ctx ~sums ~m:!m ~hw:!hw
 
 (* ------------------------------------------------------------------ *)
 (* Monte-Carlo permutation sampling (ApproShapley)                     *)
@@ -373,202 +350,6 @@ let monte_carlo ctx tel =
   shared_draws ctx tel ~sums one_permutation
 
 (* ------------------------------------------------------------------ *)
-(* Stratified / hybrid estimation                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Per fact μ: every coalition-size stratum k over U∖{μ} is either
-   enumerated exactly (hybrid, C(n-1,k) <= exact_cap) or sampled.  A
-   size-k operation only ever touches min(k, n-1-k) elements: for
-   k > (n-1)/2 the complement of size n-1-k is enumerated/sampled and
-   the membership default inverted.  The fact's half-width is
-   (1/n)·Σ_k hw_k over sampled strata, each at level δ/#sampled (union
-   bound); exact strata contribute zero width. *)
-let stratified ctx tel ~exact_cap =
-  let cfg = ctx.cfg and n = ctx.n in
-  let n1 = n - 1 in
-  let range = range_of ctx in
-  let binom = Bigint.binomial_row (max n1 0) in
-  let cap = Bigint.of_int exact_cap in
-  let inv_n = Rational.of_ints 1 n in
-  let one_fact fi =
-    let fact = ctx.universe.(fi) in
-    let others = Array.make (max n1 0) 0 in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if i <> fi then begin
-        others.(!j) <- i;
-        incr j
-      end
-    done;
-    (* membership default per stratum: [invert] strata keep all of
-       [others] present and toggle the complement *)
-    let stratum_args k =
-      let kk = min k (n1 - k) in
-      (kk, k > n1 - k)
-    in
-    let eval_pair () =
-      (* marginal contribution at the current coalition of U∖{μ} *)
-      ctx.present.(fi) <- false;
-      let v0 = eval ctx in
-      ctx.present.(fi) <- true;
-      let v1 = eval ctx in
-      ctx.present.(fi) <- false;
-      b2i v1 - b2i v0
-    in
-    (* exact stratum: enumerate the C(n1,k) coalitions by stepping the
-       lexicographic kk-combination of [others] *)
-    let exact_stratum k =
-      let kk, invert = stratum_args k in
-      if invert then Array.iter (fun i -> ctx.present.(i) <- true) others;
-      let dflt = invert in
-      let diff = ref 0 in
-      if kk = 0 then diff := eval_pair ()
-      else begin
-        let c = Array.init kk Fun.id in
-        let stop = ref false in
-        while not !stop do
-          for t = 0 to kk - 1 do
-            ctx.present.(others.(c.(t))) <- not dflt
-          done;
-          diff := !diff + eval_pair ();
-          for t = 0 to kk - 1 do
-            ctx.present.(others.(c.(t))) <- dflt
-          done;
-          (* advance the combination *)
-          let i = ref (kk - 1) in
-          while !i >= 0 && c.(!i) = n1 - kk + !i do decr i done;
-          if !i < 0 then stop := true
-          else begin
-            c.(!i) <- c.(!i) + 1;
-            for t = !i + 1 to kk - 1 do c.(t) <- c.(t - 1) + 1 done
-          end
-        done
-      end;
-      if invert then Array.iter (fun i -> ctx.present.(i) <- false) others;
-      Rational.make (Bigint.of_int !diff) binom.(k)
-    in
-    let exact = Array.make (n1 + 1) None in
-    let sampled = ref [] in
-    for k = n1 downto 0 do
-      if Bigint.leq binom.(k) cap then exact.(k) <- Some (exact_stratum k)
-      else sampled := k :: !sampled
-    done;
-    let sampled = Array.of_list !sampled in
-    let s = Array.length sampled in
-    let exact_value =
-      Array.fold_left
-        (fun acc v -> match v with Some x -> Rational.add acc x | None -> acc)
-        Rational.zero exact
-    in
-    if s = 0 then
-      {
-        fact;
-        value = Rational.mul inv_n exact_value;
-        half_width = Rational.zero;
-        draws = 0;
-        exact_strata = n1 + 1;
-        sampled_strata = 0;
-        converged = true;
-      }
-    else begin
-      let log_term = Bound.log_term ~confidence:cfg.confidence ~intervals:s in
-      let m = Array.make s 0 and sum = Array.make s 0 in
-      let rngs =
-        Array.map (fun k -> Rng.of_path cfg.seed [ fi; k ]) sampled
-      in
-      (* reusable pool for partial Fisher–Yates; swaps are undone after
-         each draw so a draw's outcome depends only on its own rng state *)
-      let pool = Array.copy others in
-      let draw si =
-        let k = sampled.(si) in
-        let kk, invert = stratum_args k in
-        let dflt = invert in
-        if invert then Array.iter (fun i -> ctx.present.(i) <- true) others;
-        let rng = rngs.(si) in
-        let swaps = Array.make kk 0 in
-        for t = 0 to kk - 1 do
-          let r = t + Rng.int rng (n1 - t) in
-          swaps.(t) <- r;
-          let tmp = pool.(t) in
-          pool.(t) <- pool.(r);
-          pool.(r) <- tmp
-        done;
-        for t = 0 to kk - 1 do ctx.present.(pool.(t)) <- not dflt done;
-        let d = eval_pair () in
-        for t = 0 to kk - 1 do ctx.present.(pool.(t)) <- dflt done;
-        for t = kk - 1 downto 0 do
-          let r = swaps.(t) in
-          let tmp = pool.(t) in
-          pool.(t) <- pool.(r);
-          pool.(r) <- tmp
-        done;
-        if invert then Array.iter (fun i -> ctx.present.(i) <- false) others;
-        m.(si) <- m.(si) + 1;
-        sum.(si) <- sum.(si) + d
-      in
-      let stratum_hw si =
-        if m.(si) = 0 then
-          (* no draw yet: estimate at the midpoint of E_k's support,
-             error at most half the width *)
-          Rational.div range (Rational.of_int 2)
-        else Bound.hoeffding ~range ~log_term ~m:m.(si)
-      in
-      let total_hw () =
-        let acc = ref Rational.zero in
-        for si = 0 to s - 1 do acc := Rational.add !acc (stratum_hw si) done;
-        Rational.mul inv_n !acc
-      in
-      let draws = ref 0 in
-      let rr = ref 0 in
-      let hw = ref (total_hw ()) in
-      let stop = ref (Rational.leq !hw cfg.epsilon) in
-      while not !stop do
-        let b = min batch (cfg.max_draws - !draws) in
-        for _ = 1 to b do
-          draw (!rr mod s);
-          incr rr
-        done;
-        draws := !draws + b;
-        hw := total_hw ();
-        if Rational.leq !hw cfg.epsilon || !draws >= cfg.max_draws then
-          stop := true
-      done;
-      let sampled_value =
-        let acc = ref Rational.zero in
-        for si = 0 to s - 1 do
-          let v =
-            if m.(si) = 0 then
-              if ctx.mono then Rational.half else Rational.zero
-            else Rational.of_ints sum.(si) m.(si)
-          in
-          acc := Rational.add !acc v
-        done;
-        !acc
-      in
-      {
-        fact;
-        value = Rational.mul inv_n (Rational.add exact_value sampled_value);
-        half_width = !hw;
-        draws = !draws;
-        exact_strata = n1 + 1 - s;
-        sampled_strata = s;
-        converged = Rational.leq !hw cfg.epsilon;
-      }
-    end
-  in
-  let estimates =
-    Array.init n (fun fi ->
-        if Telemetry.enabled tel then
-          Telemetry.span tel
-            ~attrs:[ ("fact", Fact.to_string ctx.universe.(fi)) ]
-            "sample.fact"
-            (fun () -> one_fact fi)
-        else one_fact fi)
-  in
-  let total_draws = Array.fold_left (fun a e -> a + e.draws) 0 estimates in
-  finish ctx estimates ~total_draws
-
-(* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -577,12 +358,6 @@ let record_metrics tel report =
     report.total_draws;
   Telemetry.Counter.add (Telemetry.counter tel "sample.evals")
     report.total_evals;
-  Telemetry.Counter.add
-    (Telemetry.counter tel "sample.exact_strata")
-    (Array.fold_left (fun a e -> a + e.exact_strata) 0 report.estimates);
-  Telemetry.Counter.add
-    (Telemetry.counter tel "sample.sampled_strata")
-    (Array.fold_left (fun a e -> a + e.sampled_strata) 0 report.estimates);
   (* half-width in parts per million, rounded up (gauges are ints) *)
   let ppm =
     let x = Rational.mul report.max_half_width (Rational.of_int 1_000_000) in
@@ -596,13 +371,7 @@ let shapley ?(tel = Telemetry.disabled ()) cfg ~universe phi =
   let ctx = make_ctx cfg universe phi in
   let report =
     Telemetry.span tel "sample.eval" (fun () ->
-        if ctx.n = 0 then
-          finish ctx [||] ~total_draws:0
-        else
-          match cfg.strategy with
-          | Monte_carlo -> monte_carlo ctx tel
-          | Stratified -> stratified ctx tel ~exact_cap:0
-          | Hybrid -> stratified ctx tel ~exact_cap:cfg.exact_cap)
+        if ctx.n = 0 then empty_report ctx else monte_carlo ctx tel)
   in
   record_metrics tel report;
   report
@@ -610,15 +379,14 @@ let shapley ?(tel = Telemetry.disabled ()) cfg ~universe phi =
 (* Banzhaf: the value is the expected marginal contribution over one
    uniform coalition of U∖{μ}, so one shared uniform subset per draw
    serves every fact (1 + n evaluations: the subset once, then each
-   fact's membership flipped).  No permutation or stratum structure —
-   strategy and exact_cap are ignored. *)
+   fact's membership flipped). *)
 let banzhaf ?(tel = Telemetry.disabled ()) cfg ~universe phi =
   validate cfg;
   let ctx = make_ctx cfg universe phi in
   let n = ctx.n in
   let report =
     Telemetry.span tel "sample.eval" @@ fun () ->
-    if n = 0 then finish ctx [||] ~total_draws:0
+    if n = 0 then empty_report ctx
     else begin
       let sums = Array.make n 0 in
       let one_draw d =

@@ -2,15 +2,16 @@
    and delta updates.
 
    The unit of reuse is the compiled artifact, not the query text: an
-   LRU entry key is (database name, query source, backend tag), and its
-   engine carries the compiled lineage, the memo cache, the circuit
-   session and the plan across requests.  Mutations ([insert]/[delete])
-   touch only the named database's state — they are validated and
-   applied once, and bump its version; a stale engine catches up lazily
-   on its next [eval] with one [Engine.rebuild] over the current
-   database, however many writes it missed (a "delta update":
-   sub-circuit and plan reuse instead of a cold recompile).  Reloading a
-   database drops its cached engines, so they recompile cold.
+   LRU entry key is (database name, query source, backend tag, and the
+   seed of a sample backend), and its engine carries the compiled
+   lineage, the memo cache, the circuit session and the plan across
+   requests.  Mutations ([insert]/[delete]) touch only the named
+   database's state — they are validated and applied once, and bump its
+   version; a stale engine catches up lazily on its next [eval] with one
+   [Engine.rebuild] over the current database, however many writes it
+   missed (a "delta update": sub-circuit and plan reuse instead of a
+   cold recompile).  Reloading a database drops its cached engines, so
+   they recompile cold.
 
    Batching: one [eval] computes (and caches) the whole [svc_all]
    answer; a request for specific facts is served by projection, so any
@@ -180,12 +181,16 @@ let evict_if_full t =
     | None -> ()
   end
 
+(* The requested backend's part of an entry key.  A sample engine's
+   answer is a function of its seed, so each seed keys its own entry. *)
+let backend_key : Engine.backend -> string = function
+  | `Sample cfg -> Printf.sprintf "sample:%d" cfg.Sample.seed
+  | backend -> Engine.backend_name backend
+
 (* hit / delta / miss resolution of the (db, query, backend) entry *)
 let entry_for t ~db_name ~query_src ~backend =
   let ds = db_state t db_name in
-  let key =
-    String.concat "\x00" [ db_name; query_src; Engine.backend_name backend ]
-  in
+  let key = String.concat "\x00" [ db_name; query_src; backend_key backend ] in
   t.tick <- t.tick + 1;
   let e, status =
     match Hashtbl.find_opt t.entries key with

@@ -2,7 +2,7 @@
 
     A server holds named databases and a bounded LRU cache of hot
     {!Engine}s keyed by (database name, query source, requested
-    backend).  The compiled artifact — lineage, memo cache, circuit
+    backend and, for [sample], its seed).  The compiled artifact — lineage, memo cache, circuit
     session, plan — is the unit of reuse:
 
     - an [eval] against an up-to-date cached engine is a {e hit}: the
@@ -30,7 +30,8 @@
     Requests are JSON objects with an ["op"] field and an optional
     ["id"] echoed verbatim into the response.  Ops: ["ping"],
     ["load_db"] (name, text), ["eval"] (db, query, optional backend
-    [auto|conditioning|circuit|sample], optional seed, optional facts
+    [auto|conditioning|circuit|sample], optional seed of a [sample]
+    backend, default 0, which keys its own cache entry, optional facts
     array to project), ["insert"] (db, fact, optional kind
     [endo|exo]), ["delete"] (db, fact), ["stats"], ["trace"] (path),
     ["shutdown"].  See README.md, "Serving", for the field-by-field

@@ -35,9 +35,8 @@ val svc_all :
 
     For instances beyond exact reach, [~backend:(`Sample cfg)] swaps in
     the seeded anytime estimator of [lib/sample]: approximate values
-    with rational confidence intervals, deterministic given
-    [cfg.seed] — and rationally {e equal} to the exact backends when
-    the hybrid strategy's every stratum fits under its exact cap.
+    with rational confidence intervals by permutation sampling,
+    deterministic given [cfg.seed].
     @raise Invalid_argument if [jobs < 0]. *)
 
 val engine : Query.t -> Database.t -> Engine.t

@@ -3,14 +3,17 @@
    For EVERY registered workload family:
 
    - a qcheck sweep draws random (seed, size) instances and checks that
-     every backend — auto (one evaluation per class of interchangeable
-     facts), conditioning, circuit, and the sampling estimator with every
-     stratum under the exact cap — at jobs ∈ {1, 4} returns exactly the
-     serial per-fact conditioning values (facts, order, rationals);
+     every exact backend — auto (one evaluation per class of
+     interchangeable facts), conditioning, circuit — at jobs ∈ {1, 4}
+     returns exactly the serial per-fact conditioning values (facts,
+     order, rationals), and that a budget-bound sampling run gives the
+     same estimates at jobs 1 and 4 with every one of those values
+     inside its interval;
    - an exhaustive sweep enumerates EVERY partitioned database (each
      fact absent / endogenous / exogenous) over a small universe drawn
      from the family's own generator and cross-checks every backend
-     against raw Eq. 2 subset enumeration ([Svc.svc_brute]);
+     against raw Eq. 2 subset enumeration ([Svc.svc_brute]), the
+     sampler by the same interval check;
    - a golden-digest test pins the byte-exact workload serialization of
      fixed (family, seed, size) triples, so seed drift in any generator
      can never silently invalidate BENCH history.
@@ -24,12 +27,6 @@ let values_equal v1 v2 =
   && List.for_all2
        (fun (f1, x1) (f2, x2) -> Fact.equal f1 f2 && Rational.equal x1 x2)
        v1 v2
-
-(* Every stratum of every conformance instance must sit under the exact
-   cap, so the hybrid estimator enumerates exactly and is rationally
-   equal to the exact engines: max C(n-1, k) over n <= 16 endogenous
-   facts is C(15, 7) = 6435 <= 10000. *)
-let hybrid_exact = Sample.config ~exact_cap:10_000 ()
 
 (* Size ranges keep every family's endogenous count <= 16 (the bipartite
    gadget at size s has s^2 + 2s endogenous facts, the star s + 1). *)
@@ -49,12 +46,41 @@ let matrix =
     ("auto jobs=4", `Auto, 4);
     ("conditioning jobs=4", `Conditioning, 4);
     ("circuit jobs=1", `Circuit, 1);
-    ("circuit jobs=4", `Circuit, 4);
-    ("sample-hybrid jobs=1", `Sample hybrid_exact, 1);
-    ("sample-hybrid jobs=4", `Sample hybrid_exact, 4) ]
+    ("circuit jobs=4", `Circuit, 4) ]
 
 let run ~backend ~jobs q db =
   Engine.svc_all (Engine.create ~jobs ~backend q db)
+
+(* A budget-bound sampling run: 256 permutations at confidence
+   1 - 10⁻⁶, so an exact value outside its interval means an unsound
+   bound, not bad luck. *)
+let coverage_cfg seed =
+  Sample.config ~seed
+    ~epsilon:(Rational.of_ints 1 1000)
+    ~confidence:(Rational.of_ints 999_999 1_000_000)
+    ~max_draws:256 ()
+
+(* [None] when the run at jobs 1 equals the run at jobs 4 bit for bit
+   and every [exact] value lies inside its interval; otherwise what
+   went wrong. *)
+let sample_check ~seed ~exact q db =
+  let backend = `Sample (coverage_cfg seed) in
+  let e = Engine.create ~jobs:1 ~backend q db in
+  let values = Engine.svc_all e in
+  let r = Option.get (Engine.sample_report e) in
+  let outside (est : Sample.estimate) =
+    Rational.lt est.Sample.half_width
+      (Rational.abs
+         (Rational.sub est.Sample.value (List.assoc est.Sample.fact exact)))
+  in
+  if not (values_equal values (run ~backend ~jobs:4 q db)) then
+    Some "sample jobs=4 differs from jobs=1"
+  else
+    Option.map
+      (fun (est : Sample.estimate) ->
+         Printf.sprintf "sample interval misses the exact value of %s"
+           (Fact.to_string est.Sample.fact))
+      (Array.find_opt outside r.Sample.estimates)
 
 let sweep_qcheck (fam : Workload.Family.t) =
   let lo, hi = size_range fam.name in
@@ -72,7 +98,13 @@ let sweep_qcheck (fam : Workload.Family.t) =
               QCheck2.Test.fail_reportf
                 "%s disagrees with serial conditioning on %s (seed %d, size %d)"
                 label fam.name seed size)
-         matrix)
+         matrix
+       &&
+       match sample_check ~seed ~exact:reference q db with
+       | None -> true
+       | Some msg ->
+         QCheck2.Test.fail_reportf "%s on %s (seed %d, size %d)" msg fam.name
+           seed size)
 
 (* Exhaustive: the family's own generator supplies the fact universe
    (first <= 4 facts of a small instance), then 3^|U| databases each get
@@ -100,7 +132,12 @@ let sweep_exhaustive (fam : Workload.Family.t) =
                   if not (values_equal brute (run ~backend ~jobs q db)) then
                     Alcotest.failf "%s: %s mismatch on %s" fam.name label
                       (Format.asprintf "%a" Database.pp db))
-               (("conditioning jobs=1", `Conditioning, 1) :: matrix)
+               (("conditioning jobs=1", `Conditioning, 1) :: matrix);
+             Option.iter
+               (fun msg ->
+                  Alcotest.failf "%s: %s on %s" fam.name msg
+                    (Format.asprintf "%a" Database.pp db))
+               (sample_check ~seed:!checked ~exact:brute q db)
            end);
        if !checked = 0 then Alcotest.fail "empty sweep")
 

@@ -7,9 +7,8 @@
      float references with slack only in the sound direction;
    - statistical: across the query corpus the exact Shapley/Banzhaf
      value lies inside every reported confidence interval (at a δ so
-     small that a failure means a bug, not bad luck), and the hybrid
-     estimator with every stratum under the exact cap is *rationally
-     equal* to the exact engines;
+     small that a failure means a bug, not bad luck), and the familywise
+     width is never narrower than the per-fact one;
    - determinism: the whole report is a function of the master seed —
      reruns and jobs counts are unobservable. *)
 
@@ -137,19 +136,6 @@ let test_rng () =
 (* Config hygiene                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_strings () =
-  List.iter
-    (fun s ->
-       Alcotest.(check (option string))
-         "strategy round-trips" (Some (Sample.strategy_to_string s))
-         (Option.map Sample.strategy_to_string
-            (Sample.strategy_of_string (Sample.strategy_to_string s))))
-    [ Sample.Monte_carlo; Sample.Stratified; Sample.Hybrid ];
-  Alcotest.(check bool) "monte-carlo alias" true
-    (Sample.strategy_of_string "monte-carlo" = Some Sample.Monte_carlo);
-  Alcotest.(check bool) "junk strategy" true
-    (Sample.strategy_of_string "banana" = None)
-
 let test_validate () =
   let rejects name k =
     Alcotest.(check bool) name true
@@ -163,7 +149,6 @@ let test_validate () =
   rejects "confidence 0" (fun () ->
       Sample.config ~confidence:Rational.zero ());
   rejects "max_draws 0" (fun () -> Sample.config ~max_draws:0 ());
-  rejects "negative exact_cap" (fun () -> Sample.config ~exact_cap:(-1) ());
   Sample.validate Sample.default
 
 let test_universe_guard () =
@@ -182,41 +167,18 @@ let test_universe_guard () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Hybrid all-strata-exact ≡ exact engines (rational equality)         *)
-(* ------------------------------------------------------------------ *)
-
-(* Corpus instances have <= 6 endogenous facts, so C(n-1,k) <= 32 and the
-   default exact_cap of 512 keeps every stratum exact: the hybrid result
-   must equal the exact engines as rationals, with a zero-width CI. *)
-let prop_hybrid_exact =
-  qcheck ~count:300 "hybrid all-strata-exact = exact engine, zero width"
-    Gen.seed_gen
-    (fun seed ->
-       let q, db = Gen.random_case seed in
-       let e = Engine.create ~backend:(`Sample Sample.default) q db in
-       let est = Engine.svc_all e in
-       let r = Option.get (Engine.sample_report e) in
-       values_equal est (Svc.svc_all_naive q db)
-       && r.Sample.all_converged
-       && Rational.is_zero r.Sample.max_half_width)
-
-(* ------------------------------------------------------------------ *)
 (* CI coverage: the exact value lies inside every reported interval     *)
 (* ------------------------------------------------------------------ *)
 
 (* δ = 10⁻⁶: any observed miss over 600 cases is a soundness bug, not a
-   statistical fluke.  exact_cap 2 forces the hybrid to actually sample;
-   ε = 1/1000 keeps the budget (rather than convergence) the binding
-   constraint, so the intervals are genuinely sampled ones. *)
-let strategies = [| Sample.Monte_carlo; Sample.Stratified; Sample.Hybrid |]
-
+   statistical fluke.  ε = 1/1000 keeps the budget (rather than
+   convergence) the binding constraint, so the intervals are the widest
+   the run reports. *)
 let coverage_cfg seed =
-  Sample.config
-    ~strategy:strategies.(seed mod 3)
-    ~seed
+  Sample.config ~seed
     ~epsilon:(Rational.of_ints 1 1000)
     ~confidence:(Rational.of_ints 999_999 1_000_000)
-    ~max_draws:256 ~exact_cap:2 ()
+    ~max_draws:256 ()
 
 let inside_ci (r : Sample.report) exact =
   Array.for_all
@@ -282,9 +244,7 @@ let prop_determinism =
 let test_seed_matters () =
   let db = Gen.bipartite ~rows:2 in
   let run s =
-    let cfg =
-      Sample.config ~strategy:Sample.Monte_carlo ~seed:s ~max_draws:128 ()
-    in
+    let cfg = Sample.config ~seed:s ~max_draws:128 () in
     Engine.svc_all (Engine.create ~backend:(`Sample cfg) qrst db)
   in
   Alcotest.(check bool) "seed 0 vs seed 1" false (values_equal (run 0) (run 1))
@@ -297,8 +257,7 @@ let test_stopping () =
   let db = Gen.bipartite ~rows:2 in
   (* generous ε: one batch suffices and the loop stops there *)
   let loose =
-    Sample.config ~strategy:Sample.Monte_carlo ~seed:3
-      ~epsilon:Rational.one ~max_draws:4096 ()
+    Sample.config ~seed:3 ~epsilon:Rational.one ~max_draws:4096 ()
   in
   let e = Engine.create ~backend:(`Sample loose) qrst db in
   ignore (Engine.svc_all e);
@@ -307,8 +266,8 @@ let test_stopping () =
   Alcotest.(check bool) "converged" true r.Sample.all_converged;
   (* unreachable ε: the budget binds exactly, and the report says so *)
   let tight =
-    Sample.config ~strategy:Sample.Monte_carlo ~seed:3
-      ~epsilon:(Rational.of_ints 1 1_000_000) ~max_draws:100 ()
+    Sample.config ~seed:3 ~epsilon:(Rational.of_ints 1 1_000_000)
+      ~max_draws:100 ()
   in
   let e = Engine.create ~backend:(`Sample tight) qrst db in
   ignore (Engine.svc_all e);
@@ -318,21 +277,48 @@ let test_stopping () =
   Alcotest.(check bool) "honest width: hw > ε" true
     (Rational.lt (Rational.of_ints 1 1_000_000) r.Sample.max_half_width)
 
+(* ------------------------------------------------------------------ *)
+(* Familywise width                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* At n = 1 the union bound changes nothing; from n = 2 on it is
+   strictly wider (ln_upper overshoots ln by less than ln 2, so doubling
+   its argument always raises it). *)
+let test_familywise () =
+  let run n =
+    let universe = List.init n (fun i -> fact "R" [ string_of_int i ]) in
+    Sample.shapley Sample.default ~universe
+      (Bform.Or (List.map (fun f -> Bform.Fv f) universe))
+  in
+  let r = run 1 in
+  check_rational "n = 1: familywise = per-fact" r.Sample.max_half_width
+    r.Sample.familywise_half_width;
+  List.iter
+    (fun n ->
+       let r = run n in
+       Alcotest.(check bool)
+         (Printf.sprintf "n = %d: familywise > per-fact" n)
+         true
+         (Rational.lt r.Sample.max_half_width r.Sample.familywise_half_width))
+    [ 2; 16; 1000 ];
+  let r = run 0 in
+  check_rational "n = 0: no width" Rational.zero r.Sample.familywise_half_width
+
 (* the stats pipeline reports what the sampler did *)
 let test_stats_surface () =
   let db = Gen.bipartite ~rows:2 in
-  let cfg =
-    Sample.config ~strategy:Sample.Monte_carlo ~seed:9 ~max_draws:128 ()
-  in
+  let cfg = Sample.config ~seed:9 ~max_draws:128 () in
   let e = Engine.create ~backend:(`Sample cfg) qrst db in
   ignore (Engine.svc_all e);
   match (Engine.stats e).Stats.backend with
   | Stats.Sample x ->
-    Alcotest.(check string) "strategy" "mc" x.strategy;
     Alcotest.(check int) "seed" 9 x.seed;
     let r = Option.get (Engine.sample_report e) in
     Alcotest.(check int) "draws agree with the report" r.Sample.total_draws
       x.draws;
+    Alcotest.(check string) "familywise width agrees with the report"
+      (Rational.to_string r.Sample.familywise_half_width)
+      x.familywise_hw;
     Alcotest.(check string) "epsilon echoed" "1/20" x.epsilon
   | Stats.Conditioning _ | Stats.Circuit _ ->
     Alcotest.fail "expected sample stats"
@@ -345,14 +331,13 @@ let suite =
     prop_ln_upper;
     Alcotest.test_case "hoeffding width" `Quick test_hoeffding;
     Alcotest.test_case "seeded rng" `Quick test_rng;
-    Alcotest.test_case "strategy strings" `Quick test_strings;
     Alcotest.test_case "config validation" `Quick test_validate;
     Alcotest.test_case "universe guards" `Quick test_universe_guard;
-    prop_hybrid_exact;
     prop_ci_coverage;
     prop_banzhaf_coverage;
     prop_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_matters;
     Alcotest.test_case "stopping rule" `Quick test_stopping;
     Alcotest.test_case "stats surface" `Quick test_stats_surface;
+    Alcotest.test_case "familywise half-width" `Quick test_familywise;
   ]

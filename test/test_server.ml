@@ -4,8 +4,9 @@
    The load-bearing property is the differential identity behind
    [Engine.update] — an engine chained through a random sequence of
    insert/delete deltas answers exactly like a cold [Engine.create] on
-   the final database, for every exact backend and job count (and for
-   the hybrid sampler kept rationally exact by a generous [exact_cap]).
+   the final database, for every exact backend and job count, and for
+   the seeded sampler, whose run depends only on (lineage, universe,
+   config).
    Random sequences over the registry families are backed by an
    exhaustive sweep of every single-fact change against every
    partitioned database of a small universe, in the 3^|U| style of
@@ -26,10 +27,6 @@ let values_equal a b =
 (* ------------------------------------------------------------------ *)
 (* Delta-update differential suite                                     *)
 (* ------------------------------------------------------------------ *)
-
-(* Keeps the hybrid sampler exact on every instance this suite builds:
-   all strata fall under the cap, so estimates are enumerations. *)
-let exact_sample = `Sample (Sample.config ~exact_cap:10_000 ())
 
 let diff_families = [ "star"; "bipartite"; "cqneg"; "const-svc" ]
 
@@ -104,7 +101,7 @@ let test_exhaustive_single_deltas () =
   in
   let backends =
     [ ("conditioning", `Conditioning); ("circuit", `Circuit);
-      ("sample", exact_sample) ]
+      ("sample", `Sample Sample.default) ]
   in
   let cases = ref 0 in
   Gen.iter_databases universe (fun db ->
@@ -358,6 +355,34 @@ let test_create_guards () =
   let out = read_all (Server.serve_string s (session [ eval_req () ])) in
   Alcotest.(check bool) "jobs 0 serves" true (jok (List.hd out))
 
+(* Two sample seeds are two answers: each keys its own cache entry, and
+   asking the first seed again hits its entry. *)
+let test_sample_seed_key () =
+  let s = mk_server () in
+  let req seed =
+    Printf.sprintf
+      "{\"op\":\"eval\",\"db\":\"d\",\"query\":%S,\"backend\":\"sample\",\"seed\":%d}"
+      q_src seed
+  in
+  let out = read_all (Server.serve_string s (session [ req 3; req 4; req 3 ])) in
+  Alcotest.(check (list string)) "miss, miss, hit" [ "miss"; "miss"; "hit" ]
+    (List.map (fun p -> jstr p "cache") out);
+  let direct seed =
+    Engine.svc_all
+      (Engine.create
+         ~backend:(`Sample (Sample.config ~seed ()))
+         (Query_parse.parse q_src) (Db_text.parse db_text))
+  in
+  Alcotest.(check bool) "the seeds' answers differ" false
+    (values_equal (direct 3) (direct 4));
+  List.iter2
+    (fun seed p ->
+       Alcotest.(check bool)
+         (Printf.sprintf "seed %d answers its own estimates" seed)
+         true
+         (values_equal (jvalues p) (direct seed)))
+    [ 3; 4; 3 ] out
+
 let test_truncated_eof () =
   let s = mk_server () in
   let out = read_all (Server.serve_string s "10\n{\"op\"") in
@@ -563,7 +588,7 @@ let suite =
     diff_test "conditioning, jobs 1" ~backend:`Conditioning ~jobs:1;
     diff_test "conditioning, jobs 4" ~backend:`Conditioning ~jobs:4;
     diff_test "circuit" ~backend:`Circuit ~jobs:1;
-    diff_test "hybrid sample, exact" ~backend:exact_sample ~jobs:1;
+    diff_test "sample" ~backend:(`Sample Sample.default) ~jobs:1;
     Alcotest.test_case "exhaustive single-delta sweep" `Slow
       test_exhaustive_single_deltas;
     Alcotest.test_case "update keeps the old engine intact" `Quick
@@ -592,4 +617,6 @@ let suite =
     fuzz_mangled_mutating;
     Alcotest.test_case "create refuses bad settings" `Quick
       test_create_guards;
+    Alcotest.test_case "sample seeds key their own entries" `Quick
+      test_sample_seed_key;
   ]

@@ -49,9 +49,9 @@ let stats_json_keys backend =
       [ "circuit_nodes"; "circuit_edges"; "circuit_smoothing";
         "circuit_cache_hits"; "circuit_cache_misses"; "circuit_cache_drops" ]
     | "sample" ->
-      [ "sample_strategy"; "sample_seed"; "sample_draws";
-        "sample_exact_strata"; "sample_sampled_strata"; "sample_max_hw";
-        "sample_epsilon"; "sample_confidence"; "sample_converged" ]
+      [ "sample_seed"; "sample_draws"; "sample_max_hw";
+        "sample_familywise_hw"; "sample_epsilon"; "sample_confidence";
+        "sample_converged" ]
     | other -> Alcotest.failf "no pinned stats keys for backend %S" other
   in
   [ "backend"; "players"; "jobs"; "compilations"; "conditionings" ]
