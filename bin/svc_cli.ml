@@ -140,6 +140,11 @@ let eval_cmd =
       Printf.eprintf "svc eval: --jobs must be >= 0 (got %d)\n" jobs;
       exit 2
     end;
+    (match cache_capacity with
+     | Some c when c < 0 ->
+       Printf.eprintf "svc eval: --cache-capacity must be >= 0 (got %d)\n" c;
+       exit 2
+     | _ -> ());
     let backend =
       match backend with
       | "auto" -> `Auto
@@ -327,9 +332,19 @@ let prob_cmd =
            ~doc:"Probability of each endogenous fact (rational, e.g. 1/3).")
   in
   let run db_path query_str p_str =
+    let p =
+      match Rational.of_string p_str with
+      | p when Rational.sign p > 0 && Rational.compare p Rational.one <= 0 -> p
+      | _ ->
+        Printf.eprintf "svc prob: --p must lie in (0, 1] (got %s)\n" p_str;
+        exit 2
+      | exception _ ->
+        Printf.eprintf "svc prob: --p must be a rational like 1/3 (got %s)\n"
+          p_str;
+        exit 2
+    in
     let db = load_db "prob" db_path in
     let q = parse_query "prob" query_str in
-    let p = Rational.of_string p_str in
     let pr = Pqe.sppqe q db p in
     Printf.printf "Pr(D ⊨ q) = %s  (≈ %.6f)\n" (Rational.to_string pr) (Rational.to_float pr)
   in

@@ -80,7 +80,7 @@ let default_cache_capacity = 1 lsl 20
 
 (* The trial behind the rule's over-budget branch: the lineage compiled
    without the plan, under a cap of [Plan.circuit_node_budget] new
-   nodes.  The plan's width-based prediction is only an upper bound: on
+   nodes.  The plan's width-based prediction is only an estimate: on
    road RPQs it predicts ~10^8 nodes for circuits of about a thousand. *)
 let trial_circuit ?tel ?cache_capacity ?session phi =
   match
@@ -128,8 +128,7 @@ let auto_rule ~n_facts ~classes ~trial plan =
               once per class for %s"
              (predicted "exceed") among ))
 
-let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
-    db =
+let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session query db =
   (* registered here, in this order: record-field evaluation order is
      unspecified, and the registry's registration order is user-visible
      in exporter output *)
@@ -148,15 +147,8 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
   in
   (* The plan is computed exactly when something will read it: to steer
      an explicit circuit compilation, or when the `Auto rule reaches it
-     (enough classes for the plan to decide).  After a rebuild the
-     previous plan seeds a component-local replan instead of a fresh
-     analysis. *)
-  let plan =
-    lazy
-      (match prev_plan with
-       | Some previous -> fst (Plan.replan ~tel ~previous phi)
-       | None -> Plan.analyze ~tel phi)
-  in
+     (enough classes for the plan to decide). *)
+  let plan = lazy (Plan.analyze ~tel phi) in
   let resolved, auto_reason, circuit =
     match requested with
     | `Conditioning -> (`Conditioning, None, None)
@@ -174,7 +166,7 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
        if Lazy.is_val trial then Lazy.force trial else None)
   in
   (* the trial circuit was built without the plan, so the engine keeps
-     none, and a rebuild plans afresh *)
+     none *)
   let plan =
     match circuit with
     | None when Lazy.is_val plan -> Some (Lazy.force plan)
@@ -218,19 +210,17 @@ let create ?(tel = Telemetry.disabled ()) ?(cache_capacity = default_cache_capac
     else jobs
   in
   make ~tel ~cache_capacity ~jobs ~requested:backend ~memo:None ~session:None
-    ~prev_plan:None query db
+    query db
 
 type change = [ `Insert of [ `Endo | `Exo ] * Fact.t | `Delete of Fact.t ]
 
-(* A rebuild recompiles the lineage over the new database (cheap — the
-   quadratic work is downstream) but carries over every reusable
-   artifact: the shared memo (sound across formulas — a cached polynomial
-   counts over exactly its formula's variables), the circuit session
-   (hash-consed sub-circuits the new database did not touch come back as
-   the same nodes), and the plan (components whose variables did not
-   change replay their elimination orders).  The per-answer caches (full
-   polynomial, circuit evaluation, sample reports) are invalidated
-   wholesale by building a fresh [t]. *)
+(* A rebuild recompiles the lineage and plans over the new database as
+   [create] does, and carries over the two artifacts that pay: the
+   shared memo (sound across formulas — a cached polynomial counts over
+   exactly its formula's variables) and the circuit session (hash-consed
+   sub-circuits the new database did not touch come back as the same
+   nodes).  The per-answer caches (full polynomial, circuit evaluation,
+   sample reports) are invalidated wholesale by building a fresh [t]. *)
 let rebuild t db =
   Telemetry.span t.tel "engine.update" @@ fun () ->
   Telemetry.Counter.incr (Telemetry.counter t.tel "engine.updates");
@@ -252,23 +242,22 @@ let rebuild t db =
   in
   make ~tel:t.tel ~cache_capacity:t.cache_capacity ~jobs:t.jobs
     ~requested:t.requested ~memo:(Some t.memo) ~session:(Some session)
-    ~prev_plan:t.plan t.query db
+    t.query db
 
-let update t change =
-  let db =
-    match change with
-    | `Insert (part, f) ->
-      if Database.mem f t.db then
-        invalid_arg "Engine.update: inserted fact is already present";
-      (match part with
-       | `Endo -> Database.add_endo f t.db
-       | `Exo -> Database.add_exo f t.db)
-    | `Delete f ->
-      if not (Database.mem f t.db) then
-        invalid_arg "Engine.update: deleted fact is not present";
-      Database.remove f t.db
-  in
-  rebuild t db
+let apply_change db = function
+  | `Insert (part, f) ->
+    if Database.mem f db then
+      invalid_arg
+        (Printf.sprintf "fact %s is already present" (Fact.to_string f));
+    (match part with
+     | `Endo -> Database.add_endo f db
+     | `Exo -> Database.add_exo f db)
+  | `Delete f ->
+    if not (Database.mem f db) then
+      invalid_arg (Printf.sprintf "fact %s is not present" (Fact.to_string f));
+    Database.remove f db
+
+let update t change = rebuild t (apply_change t.db change)
 
 let query t = t.query
 let database t = t.db

@@ -68,8 +68,8 @@ type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
       analyzed by the compilation planner ({!Plan.analyze}), and a
       circuit whose predicted size fits {!Plan.circuit_node_budget}
       ({!Plan.recommend}) is compiled along the plan.  The prediction
-      comes from the lineage's induced width and is only an upper
-      bound, so an instance predicted past the budget compiles without
+      comes from the lineage's induced width and is only an estimate,
+      so an instance predicted past the budget compiles without
       the plan under a cap of that many new nodes ({!trial_circuit}):
       it gets [`Circuit] if the build fits, and conditions once per
       class only if it overflows.  The choice is the same at every
@@ -127,18 +127,20 @@ val rebuild : t -> Database.t -> t
 (** Catch-up recompilation over a new database.  Returns a {e new}
     engine over [db], with the same query and settings, whose answers
     are rationally equal to [create]-ing from scratch — the differential
-    identity the test suite pins — but which reuses everything the new
-    database does not invalidate:
+    identity the test suite pins.  It recompiles the lineage and plans
+    with {!Plan.analyze}, as {!create} does, and carries over the two
+    artifacts measured to pay:
 
     - the shared {!Compile.Memo} (sound across formulas: a cached
-      polynomial counts over exactly its formula's variables);
+      polynomial counts over exactly its formula's variables).  After one
+      write a rebuilt conditioning engine misses far less than a cold one
+      (bipartite size 6, seeds 1–10, 30 rebuilds: 44,489 misses against
+      103,191);
     - the circuit compilation session, so a later circuit compile
       resolves every hash-consed sub-circuit the new database did not
-      touch to its existing arena node ({!Circuit.reused_nodes});
-    - the compilation plan, replayed component-locally through
-      {!Plan.replan} — only components whose variables changed are
-      re-ordered.  An engine without a plan, such as one answering from
-      {!auto_rule}'s unplanned trial, plans afresh.
+      touch to its existing arena node ({!Circuit.reused_nodes}).  A
+      catch-up read on a serve-sized grid took 21.1 ms with it and
+      32.0 ms without.
 
     Any number of writes separates [db] from {!database}: one rebuild
     catches up with all of them, which is how [svc serve] refreshes a
@@ -153,11 +155,16 @@ val rebuild : t -> Database.t -> t
     shrinks.  Runs in an [engine.update] span and bumps the
     [engine.updates] counter (registered on first use). *)
 
+val apply_change : Database.t -> change -> Database.t
+(** The database after one write, validated against the database it
+    applies to.  [svc serve] applies its writes through it.
+    @raise Invalid_argument ["fact F is already present"] on inserting a
+    present fact and ["fact F is not present"] on deleting an absent
+    one. *)
+
 val update : t -> change -> t
-(** One write: validate [change] against {!database}, apply it, then
-    {!rebuild} over the changed database.
-    @raise Invalid_argument on inserting a present fact or deleting an
-    absent one. *)
+(** One write: {!rebuild} over [apply_change (database t) change].
+    @raise Invalid_argument as {!apply_change} does. *)
 
 val backend : t -> [ `Conditioning | `Circuit | `Sample of Sample.config ]
 (** The resolved backend. *)
@@ -221,13 +228,12 @@ val classes : t -> Symmetry.t
     {!banzhaf}. *)
 
 val plan : t -> Plan.t option
-(** The compilation plan computed at {!create} time: present for an
+(** The compilation plan {!create} or {!rebuild} computed: present for an
     explicit [`Circuit] backend and for an [`Auto] with at least
     {!Plan.min_circuit_facts} classes, at every [jobs] (where it decided
     the resolution and will steer any circuit compilation); absent for
     [`Conditioning], [`Sample] and few-class [`Auto] engines, and for
-    an [`Auto] engine whose circuit is {!auto_rule}'s unplanned trial
-    (a {!rebuild} of it then plans afresh). *)
+    an [`Auto] engine whose circuit is {!auto_rule}'s unplanned trial. *)
 
 val query : t -> Query.t
 val database : t -> Database.t

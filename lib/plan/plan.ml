@@ -36,7 +36,6 @@ type t = {
   components : component list;
   max_width : int;
   predicted_nodes : int;
-  requested : heuristic;
 }
 
 let huge_nodes = 1_000_000_000
@@ -213,18 +212,6 @@ let pick_min_fill alive adj =
 (* Per-component analysis                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The component an elimination [o] of width [w] describes, on the
-   vertices [vars_arr]. *)
-let component_of vars_arr o w nb picked =
-  let facts = List.map (fun i -> vars_arr.(i)) in
-  {
-    cvars = Array.to_list vars_arr;
-    order = facts o;
-    branch = facts (branch_of_elimination o nb);
-    width = w;
-    picked;
-  }
-
 let order_component ~heuristic vars_arr clique_list =
   let adj = graph_of vars_arr clique_list in
   let run h =
@@ -244,7 +231,14 @@ let order_component ~heuristic vars_arr clique_list =
       let (_, wf, _, _) as fil = run Min_fill in
       if wd < wf then deg else fil
   in
-  component_of vars_arr o w nb picked
+  let facts = List.map (fun i -> vars_arr.(i)) in
+  {
+    cvars = Array.to_list vars_arr;
+    order = facts o;
+    branch = facts (branch_of_elimination o nb);
+    width = w;
+    picked;
+  }
 
 (* The root-level AND-component split: the conjuncts of a conjunctive
    root split by [Compile.conjunct_components], the split the compilers
@@ -267,96 +261,25 @@ let predicted_of_component nv w =
   if per >= huge_nodes || per < 0 then huge_nodes else per
 
 (* ------------------------------------------------------------------ *)
-(* Component-local replan                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Components partition the variables, so a component is identified by
-   its variable set; the canonical string key below is injective on
-   sorted fact lists. *)
-let component_key vs =
-  String.concat "\x00" (List.map Fact.to_string (Fact.Set.elements vs))
-
-(* Replay a previously derived elimination order on the *new* graph: the
-   width we report is the induced width on the actual co-occurrence
-   structure, never the stale claim, so a replayed component still
-   passes [Plancheck].  Falls back to the fresh heuristic whenever the
-   replayed order stopped being a permutation of the component or its
-   width degraded past the previous claim. *)
-let replay_component ~heuristic prev vars_arr clique_list =
-  let index : (Fact.t, int) Hashtbl.t =
-    Hashtbl.create (2 * Array.length vars_arr + 1)
-  in
-  Array.iteri (fun i f -> Hashtbl.replace index f i) vars_arr;
-  let order_idx =
-    List.filter_map (fun f -> Hashtbl.find_opt index f) prev.order
-  in
-  if List.length order_idx <> Array.length vars_arr then
-    order_component ~heuristic vars_arr clique_list
-  else begin
-    let adj = graph_of vars_arr clique_list in
-    let remaining = ref order_idx in
-    let pick _alive _adj =
-      match !remaining with
-      | v :: rest ->
-        remaining := rest;
-        v
-      | [] -> invalid_arg "Plan.replay_component: order exhausted"
-    in
-    let o, w, nb = eliminate ~pick adj in
-    if w > prev.width then order_component ~heuristic vars_arr clique_list
-    else component_of vars_arr o w nb prev.picked
-  end
-
-(* ------------------------------------------------------------------ *)
 (* The planner pass                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The pass [analyze] and [replan] share: sort the blocks, order every
-   component, and total the certificate.  [previous] says how a
-   component gets its order — the fresh heuristic, or a replay of the
-   order [previous] gave the component with the same variables — and
-   the count of replayed orders comes back with the plan. *)
-let pass ~tel ~heuristic ?previous phi =
+let analyze ?(tel = Telemetry.disabled ()) ?(heuristic = Best) phi =
+  Telemetry.span tel "plan.analyze" @@ fun () ->
   let blocks =
     List.sort
       (fun (_, v1) (_, v2) ->
          Fact.compare (Fact.Set.min_elt v1) (Fact.Set.min_elt v2))
       (blocks phi)
   in
-  let reused = ref 0 in
-  let order =
-    match previous with
-    | None -> fun _ vars_arr cls -> order_component ~heuristic vars_arr cls
-    | Some previous ->
-      let prev_by_key : (string, component) Hashtbl.t =
-        Hashtbl.create (2 * List.length previous.components + 1)
-      in
-      List.iter
-        (fun c ->
-           Hashtbl.replace prev_by_key
-             (component_key (Fact.Set.of_list c.cvars))
-             c)
-        previous.components;
-      fun vs vars_arr cls ->
-        (match Hashtbl.find_opt prev_by_key (component_key vs) with
-         | Some prev ->
-           let c = replay_component ~heuristic prev vars_arr cls in
-           (* only count it reused if the replay survived the width check *)
-           if c.picked = prev.picked && c.order = prev.order then incr reused;
-           c
-         | None -> order_component ~heuristic vars_arr cls)
-  in
-  let order_all () =
-    List.map
-      (fun (block, vs) ->
-         let vars_arr = Array.of_list (Fact.Set.elements vs) in
-         order vs vars_arr (cliques block))
-      blocks
-  in
-  (* a fresh analysis reports its order time in a span of its own *)
   let components =
-    if Option.is_none previous then Telemetry.span tel "plan.order" order_all
-    else order_all ()
+    Telemetry.span tel "plan.order" (fun () ->
+        List.map
+          (fun (block, vs) ->
+             order_component ~heuristic
+               (Array.of_list (Fact.Set.elements vs))
+               (cliques block))
+          blocks)
   in
   let n_vars =
     List.fold_left (fun acc c -> acc + List.length c.cvars) 0 components
@@ -373,17 +296,9 @@ let pass ~tel ~heuristic ?previous phi =
     (Telemetry.gauge tel "plan.components")
     (List.length components);
   Telemetry.Gauge.set (Telemetry.gauge tel "plan.max_width") max_width;
-  ( { n_vars; components; max_width; predicted_nodes; requested = heuristic },
-    !reused )
+  { n_vars; components; max_width; predicted_nodes }
 
-let analyze ?(tel = Telemetry.disabled ()) ?(heuristic = Best) phi =
-  Telemetry.span tel "plan.analyze" @@ fun () -> fst (pass ~tel ~heuristic phi)
-
-let replan ?(tel = Telemetry.disabled ()) ?(heuristic = Best) ~previous phi =
-  Telemetry.span tel "plan.replan" @@ fun () ->
-  let t, reused = pass ~tel ~heuristic ~previous phi in
-  Telemetry.Gauge.set (Telemetry.gauge tel "plan.reused_components") reused;
-  (t, reused)
+let replan ?tel ?heuristic ~previous:_ phi = (analyze ?tel ?heuristic phi, 0)
 
 (* ------------------------------------------------------------------ *)
 (* Derived views                                                       *)

@@ -77,11 +77,13 @@ type t = {
           variable; empty iff the formula is constant *)
   max_width : int;  (** maximum component width (0 for constants) *)
   predicted_nodes : int;
-      (** predicted circuit size
+      (** an estimate of the circuit size,
           [Σ_c (|cvars_c| + 1) · 2^min(width_c + 1, 24)], saturated at
-          {!huge_nodes} — the standard decision-DNNF bound [n · 2^w]
-          along the reverse elimination order *)
-  requested : heuristic;  (** the heuristic {!analyze} was asked for *)
+          {!huge_nodes}, after the decision-DNNF size [n · 2^w] along the
+          reverse elimination order.  It is not an upper bound on what
+          {!Circuit.compile} builds along the plan: smoothing and the
+          branch order can take a circuit past it (on
+          [bipartite --size 8 --seed 4], 14,336 predicted, 50,647 built). *)
 }
 
 val huge_nodes : int
@@ -103,24 +105,10 @@ val analyze : ?tel:Telemetry.t -> ?heuristic:heuristic -> Bform.t -> t
 
 val replan :
   ?tel:Telemetry.t -> ?heuristic:heuristic -> previous:t -> Bform.t -> t * int
-(** Component-local replan after a delta update.  Re-derives the
-    AND-component partition of the new formula, then for every component
-    whose variable set matches a component of [previous] {e replays} the
-    previous elimination order on the new co-occurrence graph instead of
-    re-running the greedy heuristic.  The reported width is always the
-    induced width of the replayed order on the {e actual} graph — never
-    the stale claim — so a replanned certificate still passes
-    {!Plancheck.check} unchanged.  If the replayed width exceeds the
-    previous claim (the component's structure changed under it, e.g. by
-    a fact flipping between exogenous truth values), that component
-    falls back to the fresh heuristic.  Components with no variable-set
-    match (the ones an insert/delete actually touched) are ordered from
-    scratch.
-
-    Returns the new plan and the number of components whose previous
-    order was reused verbatim.  With [tel], runs in a [plan.replan] span
-    and sets the [plan.reused_components] gauge (plus the same
-    [plan.components]/[plan.max_width] gauges as {!analyze}). *)
+(** [(analyze ?tel ?heuristic phi, 0)]: [previous] is ignored.  Kept
+    only for the benchmark driver (perfbench/svcbench.ml), which still
+    calls it; nothing in the library, the CLI or the tests does.  Plans
+    are deterministic, so a rebuilt engine plans with {!analyze}. *)
 
 val branch_order : t -> Fact.t list
 (** The decision order the compiler should follow: each component's
@@ -136,7 +124,7 @@ val recommend : t -> n_facts:int -> [ `Circuit | `Conditioning ]
     [predicted_nodes <= circuit_node_budget] — one compilation of a
     width-bounded circuit beats [n_facts] conditioned counts.  Past the
     budget, [`Conditioning] means only that the prediction does not
-    settle it: the prediction is an upper bound, and
+    settle it: the prediction is only an estimate, and
     {!Engine.auto_rule} then decides by a capped compile without the
     plan. *)
 

@@ -4,12 +4,12 @@
    The unit of reuse is the compiled artifact, not the query text: an
    LRU entry key is (database name, query source, backend tag, and the
    seed of a sample backend), and its engine carries the compiled
-   lineage, the memo cache, the circuit session and the plan across
-   requests.  Mutations ([insert]/[delete]) touch only the named
-   database's state — they are validated and applied once, and bump its
-   version; a stale engine catches up lazily on its next [eval] with one
-   [Engine.rebuild] over the current database, however many writes it
-   missed (a "delta update": sub-circuit and plan reuse instead of a
+   lineage, the memo cache and the circuit session across requests.
+   Mutations ([insert]/[delete]) touch only the named database's state —
+   they are validated and applied once ([Engine.apply_change]), and bump
+   its version; a stale engine catches up lazily on its next [eval] with
+   one [Engine.rebuild] over the current database, however many writes
+   it missed (a "delta update": memo and sub-circuit reuse instead of a
    cold recompile).  Reloading a database drops its cached engines, so
    they recompile cold.
 
@@ -280,21 +280,7 @@ let handle_eval t id req =
 let apply_change t id req change =
   let db_name = required req "db" in
   let ds = db_state t db_name in
-  let db =
-    match change with
-    | `Insert (part, f) ->
-      if Database.mem f ds.db then
-        rejectf "bad_request" "fact %s is already present"
-          (Fact.to_string f);
-      (match part with
-       | `Endo -> Database.add_endo f ds.db
-       | `Exo -> Database.add_exo f ds.db)
-    | `Delete f ->
-      if not (Database.mem f ds.db) then
-        rejectf "bad_request" "fact %s is not present" (Fact.to_string f);
-      Database.remove f ds.db
-  in
-  ds.db <- db;
+  ds.db <- Engine.apply_change ds.db change;
   ds.version <- ds.version + 1;
   ok_frame id
     [

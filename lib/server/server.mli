@@ -3,15 +3,15 @@
     A server holds named databases and a bounded LRU cache of hot
     {!Engine}s keyed by (database name, query source, requested
     backend and, for [sample], its seed).  The compiled artifact — lineage, memo cache, circuit
-    session, plan — is the unit of reuse:
+    session — is the unit of reuse:
 
     - an [eval] against an up-to-date cached engine is a {e hit}: the
       whole batched answer is cached too, so repeated (even per-fact)
       questions cost a list projection;
     - after [insert]/[delete] requests, a stale engine catches up with
       one {!Engine.rebuild} over the current database — a {e delta}
-      update that reuses the memo, every untouched sub-circuit and plan
-      component, with results rationally equal to a cold recompute (the
+      update that reuses the memo and every untouched sub-circuit, and
+      plans afresh, with results rationally equal to a cold recompute (the
       identity the differential suite pins).  A read after [k] writes
       counts one delta update, not [k]; the server keeps no change
       journal, so an entry any number of writes behind (70, say) still

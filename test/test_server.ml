@@ -30,6 +30,24 @@ let values_equal a b =
 
 let diff_families = [ "star"; "bipartite"; "cqneg"; "const-svc" ]
 
+(* One random single-fact change against [db]: an insert, into a random
+   part, of a [pool] fact [db] lacks, or a delete of a present fact;
+   [None] when neither exists. *)
+let random_change r ~pool db =
+  let present = Fact.Set.elements (Database.all db) in
+  let absent = List.filter (fun f -> not (Database.mem f db)) pool in
+  let pick_insert () =
+    let f = Workload.pick r absent in
+    let part = if Workload.int r 2 = 0 then `Endo else `Exo in
+    `Insert (part, f)
+  in
+  let pick_delete () = `Delete (Workload.pick r present) in
+  if present = [] && absent = [] then None
+  else if present = [] then Some (pick_insert ())
+  else if absent = [] then Some (pick_delete ())
+  else if Workload.int r 2 = 0 then Some (pick_insert ())
+  else Some (pick_delete ())
+
 (* One random episode: draw a family instance, then [steps] random
    single-fact changes (inserts from a larger sibling instance of the
    same family, deletes of present facts), chaining one engine through
@@ -51,29 +69,10 @@ let differential_episode ~backend ~jobs ~steps seed =
   let db = ref case.Workload.db in
   let ok = ref true in
   for _ = 1 to steps do
-    let present = Fact.Set.elements (Database.all !db) in
-    let absent = List.filter (fun f -> not (Database.mem f !db)) pool in
-    let pick_insert () =
-      let f = Workload.pick r absent in
-      let part = if Workload.int r 2 = 0 then `Endo else `Exo in
-      `Insert (part, f)
-    in
-    let pick_delete () = `Delete (Workload.pick r present) in
-    let change =
-      if present = [] && absent = [] then None
-      else if present = [] then Some (pick_insert ())
-      else if absent = [] then Some (pick_delete ())
-      else if Workload.int r 2 = 0 then Some (pick_insert ())
-      else Some (pick_delete ())
-    in
-    match change with
+    match random_change r ~pool !db with
     | None -> ()
     | Some change ->
-      (db :=
-         match change with
-         | `Insert (`Endo, f) -> Database.add_endo f !db
-         | `Insert (`Exo, f) -> Database.add_exo f !db
-         | `Delete f -> Database.remove f !db);
+      db := Engine.apply_change !db change;
       engine := Engine.update !engine change;
       let cold = Engine.create ~backend ~jobs case.Workload.query !db in
       if not (values_equal (Engine.svc_all !engine) (Engine.svc_all cold))
@@ -114,12 +113,7 @@ let test_exhaustive_single_deltas () =
       in
       List.iter
         (fun change ->
-           let db' =
-             match change with
-             | `Insert (`Endo, f) -> Database.add_endo f db
-             | `Insert (`Exo, f) -> Database.add_exo f db
-             | `Delete f -> Database.remove f db
-           in
+           let db' = Engine.apply_change db change in
            List.iter
              (fun (name, backend) ->
                 incr cases;
@@ -136,6 +130,70 @@ let test_exhaustive_single_deltas () =
              backends)
         changes);
   Alcotest.(check bool) "swept some cases" true (!cases > 100)
+
+(* The memo misses [svc_all] makes on a conditioning engine. *)
+let svc_all_misses e =
+  let misses () =
+    match (Engine.stats e).Stats.backend with
+    | Stats.Conditioning c -> c.cache_misses
+    | Stats.Circuit _ | Stats.Sample _ -> Alcotest.fail "not conditioning"
+  in
+  let before = misses () in
+  ignore (Engine.svc_all e);
+  misses () - before
+
+(* What a rebuild carries, over every registry family at seeds 1-3 and
+   sizes 2-5, each instance through a random chain of one to four writes
+   (inserts from the same seed's size + 2 instance).  Every rebuilt
+   [`Auto] and [`Circuit] engine that has a plan has the one
+   [Plan.analyze] derives afresh.  A rebuilt [`Conditioning] engine's
+   [svc_all], against the memo the chain carried, misses no more often
+   than a cold engine's on the same database, and on some instance
+   strictly less often: that part fails if a rebuild drops the memo. *)
+let rebuild_carries seed =
+  let r = Workload.rng seed in
+  let fewer = ref false in
+  let fresh_plan e =
+    match Engine.plan e with
+    | None -> true
+    | Some p -> Plan.to_json p = Plan.to_json (Plan.analyze (Engine.lineage e))
+  in
+  let instance family seed size =
+    let case = Workload.generate ~family ~seed ~size in
+    let q = case.Workload.query in
+    let donor = Workload.generate ~family ~seed ~size:(size + 2) in
+    let pool = Fact.Set.elements (Database.all donor.Workload.db) in
+    let rec chain k db planned counted =
+      k = 0
+      ||
+      match random_change r ~pool db with
+      | None -> true
+      | Some change ->
+        let db = Engine.apply_change db change in
+        let planned = List.map (fun e -> Engine.update e change) planned in
+        let counted = Engine.update counted change in
+        let rebuilt = svc_all_misses counted in
+        let cold = svc_all_misses (Engine.create ~backend:`Conditioning q db) in
+        if rebuilt < cold then fewer := true;
+        List.for_all fresh_plan planned
+        && rebuilt <= cold
+        && chain (k - 1) db planned counted
+    in
+    let db = case.Workload.db in
+    let counted = Engine.create ~backend:`Conditioning q db in
+    ignore (Engine.svc_all counted);
+    chain (1 + Workload.int r 4) db
+      (List.map (fun backend -> Engine.create ~backend q db) [ `Auto; `Circuit ])
+      counted
+  in
+  List.for_all
+    (fun f ->
+       List.for_all
+         (fun seed ->
+            List.for_all (instance f.Workload.Family.name seed) [ 2; 3; 4; 5 ])
+         [ 1; 2; 3 ])
+    (Workload.families ())
+  && !fewer
 
 (* Chained updates keep the original engine usable: answers on the old
    engine still describe the old database. *)
@@ -154,10 +212,11 @@ let test_update_validation () =
   let present = List.hd (Database.endo_list case.Workload.db) in
   let absent = Fact.make "R" [ "no-such-const" ] in
   Alcotest.check_raises "insert present"
-    (Invalid_argument "Engine.update: inserted fact is already present")
+    (Invalid_argument
+       (Printf.sprintf "fact %s is already present" (Fact.to_string present)))
     (fun () -> ignore (Engine.update e (`Insert (`Endo, present))));
   Alcotest.check_raises "delete absent"
-    (Invalid_argument "Engine.update: deleted fact is not present")
+    (Invalid_argument "fact R(no-such-const) is not present")
     (fun () -> ignore (Engine.update e (`Delete absent)))
 
 (* ------------------------------------------------------------------ *)
@@ -619,4 +678,6 @@ let suite =
       test_create_guards;
     Alcotest.test_case "sample seeds key their own entries" `Quick
       test_sample_seed_key;
+    Test_util.qcheck ~count:3 "a rebuild plans afresh and keeps the memo"
+      Gen.seed_gen rebuild_carries;
   ]
