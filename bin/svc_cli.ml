@@ -68,15 +68,12 @@ let eval_cmd =
                    the resolved backend's counters and the run's telemetry \
                    spans, which carry every duration.")
   in
-  let cache_arg =
-    Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~docv:"N"
-           ~doc:"Bound the shared memo cache to $(docv) entries.")
-  in
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Fan the per-class conditionings of a conditioning run out \
-                 across $(docv) domains, one per static slice (default 1 = \
-                 serial, 0 = one per available core).  The circuit and \
+                 across up to $(docv) domains, one per static slice and \
+                 never more slices than classes (default 1 = serial, 0 = \
+                 one per available core).  The circuit and \
                  sample backends never fan out, and $(b,auto) picks the \
                  same backend at every $(docv).  Values and order are \
                  identical for every $(docv).")
@@ -134,17 +131,12 @@ let eval_cmd =
                  its own trace lane).  Inspect it with \
                  $(b,svc trace summary).")
   in
-  let run db_path query_str stats cache_capacity jobs backend seed epsilon
-      max_draws show_plan trace =
+  let run db_path query_str stats jobs backend seed epsilon max_draws show_plan
+      trace =
     if jobs < 0 then begin
       Printf.eprintf "svc eval: --jobs must be >= 0 (got %d)\n" jobs;
       exit 2
     end;
-    (match cache_capacity with
-     | Some c when c < 0 ->
-       Printf.eprintf "svc eval: --cache-capacity must be >= 0 (got %d)\n" c;
-       exit 2
-     | _ -> ());
     let backend =
       match backend with
       | "auto" -> `Auto
@@ -181,7 +173,7 @@ let eval_cmd =
     let q = parse_query "eval" query_str in
     (* --stats reads its durations off the spans, so it records them too *)
     let tel = Telemetry.create ~enabled:(trace <> None || stats <> None) () in
-    let e = Engine.create ~tel ?cache_capacity ~jobs ~backend q db in
+    let e = Engine.create ~tel ~jobs ~backend q db in
     (* below the floor in facts there is nothing for the rule to decide *)
     (match Engine.auto_reason e with
      | Some reason when Database.size_endo db >= Plan.min_circuit_facts ->
@@ -223,38 +215,23 @@ let eval_cmd =
      single d-DNNF circuit evaluation), with optional instrumentation."
   in
   Cmd.v (Cmd.info "eval" ~doc)
-    Term.(const run $ db_arg $ query_arg 1 $ stats_arg $ cache_arg $ jobs_arg
-          $ backend_arg $ seed_arg $ epsilon_arg $ max_draws_arg
-          $ plan_flag $ trace_arg)
+    Term.(const run $ db_arg $ query_arg 1 $ stats_arg $ jobs_arg $ backend_arg
+          $ seed_arg $ epsilon_arg $ max_draws_arg $ plan_flag $ trace_arg)
 
 (* ---------------- plan ---------------- *)
 
 let plan_cmd =
-  let heuristic_arg =
-    Arg.(value & opt string "best" & info [ "heuristic" ] ~docv:"H"
-           ~doc:"Elimination heuristic: $(b,min-degree), $(b,min-fill) or \
-                 $(b,best) (run both, keep the smaller width; default).")
-  in
   let format_arg =
     Arg.(value & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
          & info [ "format" ] ~docv:"FORMAT"
              ~doc:"Output format: $(b,text) or $(b,json).")
   in
-  let run db_path query_str heuristic format =
-    let heuristic =
-      match Plan.heuristic_of_string heuristic with
-      | Some h -> h
-      | None ->
-        Printf.eprintf
-          "svc plan: unknown heuristic %S (expected min-degree, min-fill or \
-           best)\n"
-          heuristic;
-        exit 2
-    in
+  let run db_path query_str format =
     let db = load_db "plan" db_path in
     let q = parse_query "plan" query_str in
-    let phi = Lineage.lineage q db in
-    let pl = Plan.analyze ~heuristic phi in
+    let e = Engine.create q db in
+    let phi = Engine.lineage e in
+    let pl = match Engine.plan e with Some pl -> pl | None -> Plan.analyze phi in
     let players = Array.of_list (Database.endo_list db) in
     let n_facts = Array.length players in
     let cert =
@@ -264,7 +241,7 @@ let plan_cmd =
         Printf.eprintf "svc plan: certificate verification FAILED: %s\n" msg;
         exit 1
     in
-    let classes = Symmetry.detect ~players phi in
+    let classes = Engine.classes e in
     let classes_cert =
       match Symmetry.check ~players phi (Symmetry.classes classes) with
       | Ok r -> Symmetry.report_to_string r
@@ -272,11 +249,7 @@ let plan_cmd =
         Printf.eprintf "svc plan: class verification FAILED: %s\n" msg;
         exit 1
     in
-    let backend, reason =
-      Engine.auto_rule ~n_facts ~classes:(Symmetry.count classes)
-        ~trial:(lazy (Engine.trial_circuit phi)) (Lazy.from_val pl)
-    in
-    let backend = Engine.backend_name backend in
+    let backend = Engine.backend_name (Engine.backend e) in
     match format with
     | `Json ->
       Printf.printf
@@ -292,17 +265,17 @@ let plan_cmd =
       print_string (Plan.to_string pl);
       Printf.printf "certificate : %s\n" cert;
       Printf.printf "classes : %s\n" classes_cert;
-      Printf.printf "recommended backend : %s (%s)\n" backend reason
+      Printf.printf "recommended backend : %s (%s)\n" backend
+        (Option.get (Engine.auto_reason e))
   in
   let doc =
     "Static compilation plan for a (query, database) pair: AND-components \
      of the lineage's co-occurrence graph, per-component elimination \
      orders and induced widths, predicted circuit size, and the backend \
-     the engine's $(b,auto) mode would pick — with the plan certificate \
+     the engine's $(b,auto) mode picks — with the plan certificate \
      re-verified by the independent checker."
   in
-  Cmd.v (Cmd.info "plan" ~doc)
-    Term.(const run $ db_arg $ query_arg 1 $ heuristic_arg $ format_arg)
+  Cmd.v (Cmd.info "plan" ~doc) Term.(const run $ db_arg $ query_arg 1 $ format_arg)
 
 (* ---------------- count ---------------- *)
 
@@ -781,8 +754,9 @@ let serve_cmd =
     "Serve SVC over length-prefixed JSON frames on stdin/stdout: a hot \
      per-(query,db) compilation cache with LRU eviction and delta \
      updates (after insert/delete, a stale engine is rebuilt once over \
-     the current database, keeping its memo, circuit session and plan, \
-     so sub-circuits the writes did not touch are reused).  Drive it \
+     the current database: it keeps its memo and circuit session, so \
+     sub-circuits the writes did not touch are reused, and plans \
+     afresh).  Drive it \
      with $(b,svc client encode)/$(b,decode); see README.md for the \
      protocol reference."
   in

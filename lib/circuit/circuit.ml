@@ -285,7 +285,7 @@ let mark_live c ~base_len =
   (Array.of_list !live, !edges, !reused)
 
 let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
-    ?(max_nodes = max_int) ?session phi =
+    ?(max_nodes = max_int) ?(session = Session.create ()) phi =
   if cache_capacity < 0 then invalid_arg "Circuit.compile: negative capacity";
   if max_nodes < 0 then invalid_arg "Circuit.compile: negative max_nodes";
   (* rank = position in the plan's branch order (first = decided first);
@@ -305,7 +305,7 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
   let hits = Telemetry.counter tel "circuit.cache_hits" in
   let misses = Telemetry.counter tel "circuit.cache_misses" in
   let drops = Telemetry.counter tel "circuit.cache_drops" in
-  let base = match session with Some s -> s.Session.prev | None -> None in
+  let base = session.Session.prev in
   let base_len = match base with Some p -> p.len | None -> 0 in
   let limit = base_len + min max_nodes (max_int - base_len) in
   let c =
@@ -343,19 +343,16 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
         reused = 0;
       }
   in
-  let cache =
-    match session with Some s -> s.Session.cache | None -> Fcache.create 256
-  in
   (* The session's hash-cons table and formula cache name every node
      this build allocates, so the session takes this arena before the
      build starts: a build stopped at the cap leaves the session holding
      the nodes it got to, which are valid because the arena is
      append-only, and the next compile appends after them. *)
-  (match session with Some s -> s.Session.prev <- Some c | None -> ());
+  session.Session.prev <- Some c;
   Telemetry.span tel "circuit.compile" (fun () ->
       ignore (alloc c NTrue Fact.Set.empty : int); (* id 0 *)
       ignore (alloc c NFalse Fact.Set.empty : int); (* id 1 *)
-      c.root <- build c rank cache phi);
+      c.root <- build c rank session.Session.cache phi);
   let live, edges, reused = mark_live c ~base_len in
   let nodes = Array.length live in
   c.live <- live;
@@ -364,14 +361,8 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
   Telemetry.Gauge.set (Telemetry.gauge tel "circuit.nodes") nodes;
   Telemetry.Gauge.set (Telemetry.gauge tel "circuit.edges") edges;
   Telemetry.Gauge.set (Telemetry.gauge tel "circuit.smoothing") c.smoothing;
-  (* only session compiles have a reuse story; keeping the gauge out of
-     sessionless runs keeps their exporter output unchanged *)
-  (match session with
-   | Some _ -> Telemetry.Gauge.set (Telemetry.gauge tel "circuit.reused_nodes") reused
-   | None -> ());
+  Telemetry.Gauge.set (Telemetry.gauge tel "circuit.reused_nodes") reused;
   c
-
-let session_adopt s c = s.Session.prev <- Some c
 
 let vars c = c.varsets.(c.root)
 let node_count c = Array.length c.live

@@ -106,9 +106,9 @@ val compile :
     the circuit invariants come from construction, never from the
     plan.
 
-    [session] compiles into a shared {!Session} arena instead of a fresh
-    one: hash-consing then resolves every sub-circuit already built by
-    an earlier compile of the session to its existing node, and the
+    [session] (default: a fresh one) is the {!Session} the build
+    compiles into: hash-consing resolves every sub-circuit already built
+    by an earlier compile of the session to its existing node, and the
     formula→node cache warm-starts from all previous compiles.  The
     number of inherited nodes reachable from the new root is
     {!reused_nodes}.  Circuits compiled earlier in the session remain
@@ -139,17 +139,8 @@ val smoothing_nodes : t -> int
 val reused_nodes : t -> int
 (** Of the nodes reachable from this circuit's root, how many were
     inherited from earlier compiles of the same {!Session} rather than
-    built — 0 for a sessionless compile.  The delta-update payoff
-    metric. *)
-
-val session_adopt : Session.t -> t -> unit
-(** Retroactively seed a session with a circuit compiled {e outside} any
-    session: the next [compile ~session] continues in that circuit's
-    arena and reuses its hash-consed nodes.  Used by {!Engine.rebuild}
-    to upgrade an engine whose first compile was sessionless.  A circuit
-    seeds at most one session: the session appends into the circuit's
-    own arena, so a second session adopting it would overwrite the
-    first one's nodes. *)
+    built — 0 for the first compile of a session.  The delta-update
+    payoff metric. *)
 
 val cache_hits : t -> int
 val cache_misses : t -> int

@@ -19,9 +19,9 @@
 
    At [jobs > 1] the per-fact conditioning step — embarrassingly parallel,
    every fact's work reading only the shared immutable φ and the full
-   polynomial — fans out across [jobs] domains, one per static slice
-   ([Pool.run]).  The array of class representatives (below) is cut into
-   [jobs] slices; slot i evaluates slice i with its own private
+   polynomial — fans out across domains, one per static slice
+   ([Pool.run]).  The array of k class representatives (below) is cut
+   into [min jobs k] slices; slot i evaluates slice i with its own private
    [Compile.Memo] (a Memo is an unsynchronized Hashtbl, so it must never
    be mutated from two domains), and each value lands at its class
    members' original indices, so values and order are bit-identical for
@@ -50,16 +50,15 @@ type t = {
   players : Fact.t array;
   n : int;
   jobs : int;
-  cache_capacity : int;
   requested : backend; (* as asked — re-resolved by [rebuild] *)
   backend : [ `Conditioning | `Circuit | `Sample of Sample.config ];
   (* resolved *)
   auto_reason : string option; (* the `Auto rule that fired, with its numbers *)
   classes : Symmetry.t; (* interchangeable players; singletons unless `Auto *)
   plan : Plan.t option; (* the compilation plan that steered resolution *)
-  mutable session : Circuit.Session.t option;
-  (* shared compilation arena across rebuilds; [None] until the first
-     [rebuild] (so one-shot engines keep their exporter output) *)
+  session : Circuit.Session.t;
+  (* the circuit arena every compile of this engine and of its rebuilds
+     appends to *)
   phi : Bform.t;
   memo : Compile.Memo.t;
   factorials : Bigint.t array Lazy.t;
@@ -76,16 +75,18 @@ type t = {
   mutable sample_banzhaf : Sample.report option;
 }
 
-let default_cache_capacity = 1 lsl 20
+(* The bound on the memo and on the circuit's formula cache: entries
+   past it are recomputed, never wrong. *)
+let cache_capacity = 1 lsl 20
 
 (* The trial behind the rule's over-budget branch: the lineage compiled
    without the plan, under a cap of [Plan.circuit_node_budget] new
    nodes.  The plan's width-based prediction is only an estimate: on
    road RPQs it predicts ~10^8 nodes for circuits of about a thousand. *)
-let trial_circuit ?tel ?cache_capacity ?session phi =
+let trial_circuit ~tel ~session phi =
   match
-    Circuit.compile ?tel ?cache_capacity ~max_nodes:Plan.circuit_node_budget
-      ?session phi
+    Circuit.compile ~tel ~cache_capacity ~max_nodes:Plan.circuit_node_budget
+      ~session phi
   with
   | c -> Some c
   | exception Circuit.Node_cap -> None
@@ -128,7 +129,7 @@ let auto_rule ~n_facts ~classes ~trial plan =
               once per class for %s"
              (predicted "exceed") among ))
 
-let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session query db =
+let make ~tel ~jobs ~requested ~memo ~session query db =
   (* registered here, in this order: record-field evaluation order is
      unspecified, and the registry's registration order is user-visible
      in exporter output *)
@@ -156,7 +157,7 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session query db =
     (* never auto-selected: an approximate answer must be asked for *)
     | `Sample cfg -> Sample.validate cfg; (`Sample cfg, None, None)
     | `Auto ->
-      let trial = lazy (trial_circuit ~tel ~cache_capacity ?session phi) in
+      let trial = lazy (trial_circuit ~tel ~session phi) in
       let backend, reason =
         auto_rule ~n_facts:n ~classes:(Symmetry.count classes) ~trial plan
       in
@@ -178,7 +179,6 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session query db =
     players;
     n;
     jobs;
-    cache_capacity;
     requested;
     backend = resolved;
     auto_reason;
@@ -186,10 +186,7 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session query db =
     plan;
     session;
     phi;
-    memo =
-      (match memo with
-       | Some m -> m
-       | None -> Compile.Memo.create ~capacity:cache_capacity ());
+    memo;
     factorials = lazy (Bigint.factorial_table n);
     tel;
     compilations;
@@ -202,47 +199,32 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session query db =
     sample_banzhaf = None;
   }
 
-let create ?(tel = Telemetry.disabled ()) ?(cache_capacity = default_cache_capacity)
-    ?(jobs = 1) ?(backend = `Auto) query db =
+let create ?(tel = Telemetry.disabled ()) ?(jobs = 1) ?(backend = `Auto) query
+    db =
   let jobs =
     if jobs < 0 then invalid_arg "Engine.create: jobs must be >= 0"
     else if jobs = 0 then Pool.recommended_domains ()
     else jobs
   in
-  make ~tel ~cache_capacity ~jobs ~requested:backend ~memo:None ~session:None
-    query db
+  make ~tel ~jobs ~requested:backend
+    ~memo:(Compile.Memo.create ~capacity:cache_capacity ())
+    ~session:(Circuit.Session.create ()) query db
 
 type change = [ `Insert of [ `Endo | `Exo ] * Fact.t | `Delete of Fact.t ]
 
 (* A rebuild recompiles the lineage and plans over the new database as
-   [create] does, and carries over the two artifacts that pay: the
-   shared memo (sound across formulas — a cached polynomial counts over
-   exactly its formula's variables) and the circuit session (hash-consed
-   sub-circuits the new database did not touch come back as the same
-   nodes).  The per-answer caches (full polynomial, circuit evaluation,
-   sample reports) are invalidated wholesale by building a fresh [t]. *)
+   [create] does, and carries over the two artifacts that pay, both
+   opened by [create]: the shared memo (sound across formulas — a cached
+   polynomial counts over exactly its formula's variables) and the
+   circuit session (hash-consed sub-circuits the new database did not
+   touch come back as the same nodes).  The per-answer caches (full
+   polynomial, circuit evaluation, sample reports) are invalidated
+   wholesale by building a fresh [t]. *)
 let rebuild t db =
   Telemetry.span t.tel "engine.update" @@ fun () ->
   Telemetry.Counter.incr (Telemetry.counter t.tel "engine.updates");
-  let session =
-    match t.session with
-    | Some s -> s
-    | None ->
-      let s = Circuit.Session.create () in
-      (* a circuit compiled before the first rebuild joins the arena so
-         the very next compile already reuses its nodes *)
-      (match t.circuit with
-       | Some c -> Circuit.session_adopt s c
-       | None -> ());
-      (* kept, so a second rebuild of [t] appends to this session: a
-         second session adopting the same circuit would append into the
-         same arena and overwrite this one's nodes *)
-      t.session <- Some s;
-      s
-  in
-  make ~tel:t.tel ~cache_capacity:t.cache_capacity ~jobs:t.jobs
-    ~requested:t.requested ~memo:(Some t.memo) ~session:(Some session)
-    t.query db
+  make ~tel:t.tel ~jobs:t.jobs ~requested:t.requested ~memo:t.memo
+    ~session:t.session t.query db
 
 let apply_change db = function
   | `Insert (part, f) ->
@@ -318,8 +300,8 @@ let circuit_of t =
   | Some c -> c
   | None ->
     let c =
-      Circuit.compile ~tel:t.tel ?plan:t.plan ~cache_capacity:t.cache_capacity
-        ?session:t.session t.phi
+      Circuit.compile ~tel:t.tel ?plan:t.plan ~cache_capacity
+        ~session:t.session t.phi
     in
     t.circuit <- Some c;
     c
@@ -439,10 +421,11 @@ let value_of_fact t which ~name mu =
          (Symmetry.representative t.classes (Symmetry.class_of t.classes i)))
 
 (* The parallel batched path: fan the per-class conditioning out across
-   [t.jobs] domains, one per slot.  Slot i owns the static slice
-   [i·k/jobs, (i+1)·k/jobs) of the k class representatives and a private
-   memo cache, so the per-slot counters are as deterministic as the
-   values.  Slots touch no engine state: they read the immutable φ,
+   [slots = min t.jobs k] domains, one per slot, so no slot is left with
+   an empty slice.  Slot i owns the static slice
+   [i·k/slots, (i+1)·k/slots) of the k class representatives and a
+   private memo cache, so the per-slot counters are as deterministic as
+   the values.  Slots touch no engine state: they read the immutable φ,
    players and full polynomial, and everything mutable is merged in the
    calling domain after the join.  Returns one value per class. *)
 let batched_parallel t which =
@@ -450,18 +433,19 @@ let batched_parallel t which =
   (* [Lazy.force] is not safe from two domains: the workers' [value] only
      reads the table once it is forced here *)
   if which = `Shapley then ignore (Lazy.force t.factorials);
-  let k = Symmetry.count t.classes and jobs = t.jobs in
+  let k = Symmetry.count t.classes in
+  let slots = min t.jobs k in
   (* One trace track per slot: slice spans land on the lane of the slot
      that owns them, giving the Chrome view one row per domain.  Forked
      here (the owning domain), handed to exactly one slot each, joined
      back after [Pool.run] has joined the domains. *)
   let slot_tels =
-    Array.init jobs (fun slot ->
+    Array.init slots (fun slot ->
         Telemetry.fork t.tel ~track:(slot + 1)
           ~name:(Printf.sprintf "domain %d" slot))
   in
   let evaluate_slot slot =
-    let lo = slot * k / jobs and hi = (slot + 1) * k / jobs in
+    let lo = slot * k / slots and hi = (slot + 1) * k / slots in
     let stel = slot_tels.(slot) in
     Telemetry.span stel
       ~attrs:
@@ -486,7 +470,7 @@ let batched_parallel t which =
     in
     (values, hi - lo, Compile.Memo.hits memo, Compile.Memo.misses memo)
   in
-  let slots = Pool.run jobs evaluate_slot in
+  let results = Pool.run slots evaluate_slot in
   Array.iter (fun stel -> Telemetry.join t.tel stel) slot_tels;
   Telemetry.Counter.add t.conditionings k;
   Telemetry.span t.tel "engine.merge" (fun () ->
@@ -494,8 +478,8 @@ let batched_parallel t which =
         Array.map
           (fun (_, facts, hits, misses) ->
              { Stats.d_facts = facts; d_hits = hits; d_misses = misses })
-          slots;
-      Array.concat (List.map (fun (vs, _, _, _) -> vs) (Array.to_list slots)))
+          results;
+      Array.concat (List.map (fun (vs, _, _, _) -> vs) (Array.to_list results)))
 
 (* The batched entry point behind [svc_all] and [banzhaf_all]. *)
 let values t which =

@@ -25,9 +25,10 @@
     The per-fact conditioning step is embarrassingly parallel — every
     fact's polynomial reads only the shared immutable lineage and the
     full count — so at [jobs > 1] the batched entry points
-    ({!svc_all}, {!banzhaf_all}) fan it out across [jobs] stdlib
-    domains, one per static slice ({!Pool.run}).  That is all [jobs]
-    does: it plays no part in resolving [`Auto].
+    ({!svc_all}, {!banzhaf_all}) fan it out across [min jobs k] stdlib
+    domains for [k] class representatives, one per static slice
+    ({!Pool.run}).  That is all [jobs] does: it plays no part in
+    resolving [`Auto].
 
     {b Cache-ownership invariant:} a {!Compile.Memo} is an
     unsynchronized [Hashtbl] and must never be mutated from two domains.
@@ -36,8 +37,9 @@
     {!svc}/{!banzhaf} calls); a parallel batched run gives each worker
     slot a {e private} cache of the same capacity, created and dropped
     inside the run.  Worker slots own static slices of the [k] class
-    representatives ([slot i] evaluates representatives
-    [i·k/jobs, (i+1)·k/jobs); [k = n] unless [`Auto] merged facts) and
+    representatives (with [s = min jobs k] slots, [slot i] evaluates
+    representatives [i·k/s, (i+1)·k/s), never an empty slice; [k = n]
+    unless [`Auto] merged facts) and
     each value is copied to every member of its class at the members'
     original indices, so output order and values are bit-identical for
     every [jobs] — only wall clock and the per-slot counters
@@ -70,7 +72,7 @@ type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
       ({!Plan.recommend}) is compiled along the plan.  The prediction
       comes from the lineage's induced width and is only an estimate,
       so an instance predicted past the budget compiles without
-      the plan under a cap of that many new nodes ({!trial_circuit}):
+      the plan under a cap of that many new nodes (the trial):
       it gets [`Circuit] if the build fits, and conditions once per
       class only if it overflows.  The choice is the same at every
       [jobs].  Explicit [`Conditioning] and [`Circuit] stay per fact:
@@ -88,17 +90,19 @@ type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
     The exact backends return bit-identical values in the same order. *)
 
 val create :
-  ?tel:Telemetry.t -> ?cache_capacity:int -> ?jobs:int -> ?backend:backend ->
-  Query.t -> Database.t -> t
-(** Compiles the lineage (the single compilation of the engine's life).
-    [cache_capacity] bounds the number of memoized sub-formulas (default
-    [2{^20}]; results past the bound are recomputed, never wrong) — under
-    [`Circuit] the same bound applies to the circuit compiler's
-    formula→node cache.  [jobs] sets how many domains a batched
-    conditioning run fans out across: default [1] (fully serial, no
-    domain ever spawned), [0] resolves to {!Pool.recommended_domains};
-    the circuit and sample backends are always serial.
-    [backend] selects the evaluation strategy (default [`Auto]).
+  ?tel:Telemetry.t -> ?jobs:int -> ?backend:backend -> Query.t -> Database.t -> t
+(** Compiles the lineage (the single compilation of the engine's life)
+    and opens the engine's two caches, which every {!rebuild} carries
+    on: the memo of conditioned sub-formulas and the circuit
+    {!Circuit.Session} that every circuit compile of the engine, the
+    [`Auto] trial included, appends to.  One constant, [2{^20}] entries,
+    bounds both the memo and the circuit's formula→node cache; results
+    past the bound are recomputed, never wrong.  [jobs] sets how many
+    domains a batched conditioning run may fan out across: default [1]
+    (fully serial, no domain ever spawned), [0] resolves to
+    {!Pool.recommended_domains}; the circuit and sample backends are
+    always serial.  [backend] selects the evaluation strategy (default
+    [`Auto]).
 
     [tel] (default: a private disabled tracer, making every span a free
     no-op) hosts the engine's whole instrumentation and its only clock:
@@ -146,9 +150,9 @@ val rebuild : t -> Database.t -> t
     catches up with all of them, which is how [svc serve] refreshes a
     stale cached engine.  The original engine stays fully usable (its
     answers still describe the old database), and it can be rebuilt
-    again: an engine's first rebuild creates its session, seeded with
-    any circuit the engine already compiled, and every later rebuild of
-    it compiles into that same session.  Per-answer caches (full
+    again: every rebuild compiles into the session {!create} opened,
+    so the first rebuild after a cold start already finds the cold
+    engine's sub-circuits in the formula cache.  Per-answer caches (full
     polynomial, circuit evaluation, sample reports) start cold in the new
     engine; the backend is re-resolved from the originally requested
     one, so an [`Auto] engine may flip strategy as the instance grows or
@@ -180,8 +184,7 @@ val backend_name : [< backend ] -> string
 val circuit_reused_nodes : t -> int
 (** {!Circuit.reused_nodes} of the engine's compiled circuit: nodes
     inherited from earlier compiles through the shared session.  [0]
-    if no circuit was compiled or the engine never went through
-    {!rebuild}. *)
+    if no circuit was compiled or it was the session's first. *)
 
 val sample_report : t -> Sample.report option
 (** The cached report of the last sampled batched run ([None] unless the
@@ -189,16 +192,6 @@ val sample_report : t -> Sample.report option
     the Shapley report when both Shapley and Banzhaf passes ran).
     Carries per-fact confidence intervals, draw counts and convergence
     flags — the data behind {!Stats.Sample} in {!stats}. *)
-
-val trial_circuit :
-  ?tel:Telemetry.t ->
-  ?cache_capacity:int ->
-  ?session:Circuit.Session.t ->
-  Bform.t ->
-  Circuit.t option
-(** The lineage compiled without a plan under a cap of
-    {!Plan.circuit_node_budget} new nodes ({!Circuit.compile}
-    [~max_nodes]); [None] if the build overflowed the cap. *)
 
 val auto_rule :
   n_facts:int ->
@@ -211,11 +204,12 @@ val auto_rule :
     classes, without forcing the plan; otherwise [`Circuit] when
     {!Plan.recommend} on the plan with [~n_facts:classes] predicts a
     circuit within the budget.  Past the budget the rule forces
-    [trial], {!trial_circuit}'s outcome, and nowhere else: [`Circuit]
-    if the trial fit, with a reason naming the predicted and the real
-    node count, and [`Conditioning] once per class if it overflowed.
-    {!create} and {!rebuild} resolve [`Auto] through it at every
-    [jobs]; [svc plan] prints it. *)
+    [trial], the lineage compiled without the plan under a cap of
+    {!Plan.circuit_node_budget} new nodes ([None] if it overflowed),
+    and nowhere else: [`Circuit] if the trial fit, with a reason naming
+    the predicted and the real node count, and [`Conditioning] once per
+    class if it overflowed.  {!create} and {!rebuild} resolve [`Auto]
+    through it at every [jobs]. *)
 
 val auto_reason : t -> string option
 (** The reason {!auto_rule} gave when this engine resolved [`Auto];

@@ -17,12 +17,6 @@ let heuristic_name = function
   | Min_fill -> "min-fill"
   | Best -> "best"
 
-let heuristic_of_string = function
-  | "min-degree" -> Some Min_degree
-  | "min-fill" -> Some Min_fill
-  | "best" -> Some Best
-  | _ -> None
-
 type component = {
   cvars : Fact.t list;
   order : Fact.t list;

@@ -44,8 +44,6 @@ type heuristic =
 val heuristic_name : heuristic -> string
 (** ["min-degree"], ["min-fill"] or ["best"]. *)
 
-val heuristic_of_string : string -> heuristic option
-
 type component = {
   cvars : Fact.t list;
       (** the component's variables, sorted by {!Fact.compare} *)

@@ -4,7 +4,8 @@
    The unit of reuse is the compiled artifact, not the query text: an
    LRU entry key is (database name, query source, backend tag, and the
    seed of a sample backend), and its engine carries the compiled
-   lineage, the memo cache and the circuit session across requests.
+   lineage, the memo cache and the circuit session it opened on its
+   miss across requests.
    Mutations ([insert]/[delete]) touch only the named database's state —
    they are validated and applied once ([Engine.apply_change]), and bump
    its version; a stale engine catches up lazily on its next [eval] with
@@ -40,7 +41,6 @@ type t = {
   capacity : int;
   max_frame : int;
   jobs : int;
-  engine_cache_capacity : int;
   mutable tick : int;
   mutable stopped : bool;
   requests : Telemetry.Counter.t;
@@ -54,8 +54,7 @@ type t = {
 let default_capacity = 8
 
 let create ?(tel = Telemetry.disabled ()) ?(capacity = default_capacity)
-    ?(max_frame = Frame.default_max_len) ?(jobs = 1)
-    ?(engine_cache_capacity = 1 lsl 20) () =
+    ?(max_frame = Frame.default_max_len) ?(jobs = 1) () =
   if capacity < 1 then invalid_arg "Server.create: capacity must be >= 1";
   if jobs < 0 then invalid_arg "Server.create: jobs must be >= 0";
   {
@@ -65,7 +64,6 @@ let create ?(tel = Telemetry.disabled ()) ?(capacity = default_capacity)
     capacity;
     max_frame;
     jobs;
-    engine_cache_capacity;
     tick = 0;
     stopped = false;
     (* registration order is user-visible in exporter output *)
@@ -209,8 +207,8 @@ let entry_for t ~db_name ~query_src ~backend =
       Telemetry.Counter.incr t.misses;
       evict_if_full t;
       let engine =
-        Engine.create ~tel:t.tel ~cache_capacity:t.engine_cache_capacity
-          ~jobs:t.jobs ~backend (Query_parse.parse query_src) ds.db
+        Engine.create ~tel:t.tel ~jobs:t.jobs ~backend
+          (Query_parse.parse query_src) ds.db
       in
       let e =
         { e_db = db_name; engine; version = ds.version; values = None;

@@ -2,20 +2,22 @@
 
     A server holds named databases and a bounded LRU cache of hot
     {!Engine}s keyed by (database name, query source, requested
-    backend and, for [sample], its seed).  The compiled artifact — lineage, memo cache, circuit
-    session — is the unit of reuse:
+    backend and, for [sample], its seed).  The compiled artifact —
+    lineage, memo cache, and the circuit session its engine opened on
+    the miss — is the unit of reuse:
 
     - an [eval] against an up-to-date cached engine is a {e hit}: the
       whole batched answer is cached too, so repeated (even per-fact)
       questions cost a list projection;
     - after [insert]/[delete] requests, a stale engine catches up with
       one {!Engine.rebuild} over the current database — a {e delta}
-      update that reuses the memo and every untouched sub-circuit, and
-      plans afresh, with results rationally equal to a cold recompute (the
-      identity the differential suite pins).  A read after [k] writes
-      counts one delta update, not [k]; the server keeps no change
-      journal, so an entry any number of writes behind (70, say) still
-      catches up as a delta;
+      update that reuses the memo and every untouched sub-circuit (the
+      first one already finds the miss's sub-circuits in its session's
+      formula cache), and plans afresh, with results rationally equal
+      to a cold recompute (the identity the differential suite pins).
+      A read after [k] writes counts one delta update, not [k]; the
+      server keeps no change journal, so an entry any number of writes
+      behind (70, say) still catches up as a delta;
     - a cold key, including every key of a database reloaded by
       [load_db], compiles from scratch: a {e miss}, evicting the
       least-recently-used entry when the cache is full.
@@ -46,17 +48,11 @@
 type t
 
 val create :
-  ?tel:Telemetry.t ->
-  ?capacity:int ->
-  ?max_frame:int ->
-  ?jobs:int ->
-  ?engine_cache_capacity:int ->
-  unit ->
-  t
+  ?tel:Telemetry.t -> ?capacity:int -> ?max_frame:int -> ?jobs:int -> unit -> t
 (** A fresh server.  [capacity] bounds the engine LRU (default
     {!default_capacity}); [max_frame] the accepted payload size in
-    bytes (default {!Frame.default_max_len}); [jobs] and
-    [engine_cache_capacity] are handed to every {!Engine.create}.
+    bytes (default {!Frame.default_max_len}); [jobs] is handed to every
+    {!Engine.create}.
     @raise Invalid_argument if [capacity < 1] or [jobs < 0]. *)
 
 val default_capacity : int

@@ -141,30 +141,6 @@ let load path =
   close_in ic;
   parse content
 
-(* ------------------------------------------------------------------ *)
-(* Evaluation: one batched engine per case                             *)
-(* ------------------------------------------------------------------ *)
-
-type case_result = {
-  rcase : case;
-  values : (Fact.t * Rational.t) list;
-  stats : Stats.t;
-}
-
-let eval_case ?tel ?cache_capacity ?jobs ?backend (c : case) =
-  let case_span f =
-    match tel with
-    | Some tel -> Telemetry.span tel ~attrs:[ ("case", c.cname) ] "workload.case" f
-    | None -> f ()
-  in
-  case_span @@ fun () ->
-  let e = Engine.create ?tel ?cache_capacity ?jobs ?backend c.query c.db in
-  let values = Engine.svc_all e in
-  { rcase = c; values; stats = Engine.stats e }
-
-let eval ?tel ?cache_capacity ?jobs ?backend w =
-  List.map (eval_case ?tel ?cache_capacity ?jobs ?backend) w.cases
-
 let to_string w =
   let buf = Buffer.create 256 in
   Buffer.add_string buf ("workload " ^ w.wname ^ "\n");

@@ -1,8 +1,9 @@
 (** Workloads and deterministic instance generators.
 
     A {e workload} is a named list of (query, database) cases — the unit
-    the static analyzer ({!module:Analyze} in [lib/analysis]) vets before
-    batch execution.  The rest of the module provides random (seeded) and
+    the static analyzer ({!module:Analyze} in [lib/analysis]) vets.  The
+    module links no evaluator: callers hand a case's query and database
+    to one.  The rest of the module provides random (seeded) and
     structured databases for the query classes studied in the paper; used
     by the property tests and by the benchmark harness that regenerates
     the figures.  All generators are pure functions of their seed. *)
@@ -41,33 +42,6 @@ val load : string -> t
 
 val to_string : t -> string
 (** Round-trips through {!parse} (facts are printed sorted). *)
-
-(** {1 Evaluation}
-
-    Batch execution of a workload: every case runs through its own
-    {!Engine} (one lineage compilation per case, conditioned per fact),
-    and carries its instrumentation record home. *)
-
-type case_result = {
-  rcase : case;
-  values : (Fact.t * Rational.t) list;  (** Shapley value per endogenous fact *)
-  stats : Stats.t;
-}
-
-val eval_case :
-  ?tel:Telemetry.t -> ?cache_capacity:int -> ?jobs:int ->
-  ?backend:Engine.backend -> case -> case_result
-val eval :
-  ?tel:Telemetry.t -> ?cache_capacity:int -> ?jobs:int ->
-  ?backend:Engine.backend -> t -> case_result list
-(** [jobs] (default [1]; [0] = auto) and [backend] (default [`Auto]) are
-    handed to every case's {!Engine.create}: each case fans its per-fact
-    conditionings out across that many domains, or answers from one
-    d-DNNF compilation under the circuit backend.  Values are identical
-    for every [jobs] and every backend.  With [tel], each case runs in a
-    [workload.case] span (attribute [case] = its name) and every case's
-    engine records into the same tracer, so each case's [stats] counts
-    the counters and spans of every case before it too. *)
 
 (** {1 Random generation} *)
 

@@ -249,9 +249,8 @@ let test_auto_selection () =
    cold engine does.  The road answers from the unplanned trial, compiled
    in [create] and without a plan, so its rebuilds plan afresh; the
    grid's planned circuit is compiled by its first answer.  Both circuits
-   join the session of the engine's first rebuild, and every later
-   rebuild must append to that session rather than adopt the circuit
-   into a second one. *)
+   are compiled into the session [create] opened, and every rebuild
+   appends to that one session. *)
 let test_repeated_rebuilds () =
   let check (case : Workload.case) ~evaluate_first ~every =
     let e = Engine.create case.Workload.query case.Workload.db in
@@ -275,19 +274,30 @@ let test_repeated_rebuilds () =
   check (Workload.generate ~family:"bipartite" ~seed:1 ~size:4)
     ~evaluate_first:true ~every:3
 
+let same_polynomials (a : Circuit.evaluation) (b : Circuit.evaluation) =
+  Poly.Z.equal a.Circuit.full b.Circuit.full
+  && Array.length a.Circuit.by_fact = Array.length b.Circuit.by_fact
+  && Array.for_all2
+       (fun (f1, p1) (f2, p2) -> Fact.equal f1 f2 && Poly.Z.equal p1 p2)
+       a.Circuit.by_fact b.Circuit.by_fact
+
+let same_evaluation a b =
+  same_polynomials a b && a.Circuit.poly_ops = b.Circuit.poly_ops
+
 (* a bounded circuit compile cache changes counters, never answers *)
 let test_bounded_circuit_cache () =
   let db = Gen.bipartite ~rows:3 in
-  let bounded = Engine.create ~backend:`Circuit ~cache_capacity:2 qrst db in
-  let unbounded = Engine.create ~backend:`Circuit qrst db in
-  Alcotest.(check bool) "same values" true
-    (values_equal (Engine.svc_all bounded) (Engine.svc_all unbounded));
-  match (Engine.stats bounded).Stats.backend with
-  | Stats.Circuit c ->
-    Alcotest.(check bool) "drops happened" true (c.cache_drops > 0);
-    Alcotest.(check bool) "hits still happened" true (c.cache_hits > 0)
-  | Stats.Conditioning _ | Stats.Sample _ ->
-    Alcotest.fail "expected circuit stats"
+  let phi = Lineage.lineage qrst db and universe = Database.endo_list db in
+  let plan = Plan.analyze phi in
+  let bounded = Circuit.compile ~plan ~cache_capacity:2 phi in
+  let unbounded = Circuit.compile ~plan phi in
+  Alcotest.(check bool) "same polynomials" true
+    (same_polynomials
+       (Circuit.evaluate bounded ~universe)
+       (Circuit.evaluate unbounded ~universe));
+  Alcotest.(check bool) "drops happened" true (Circuit.cache_drops bounded > 0);
+  Alcotest.(check bool) "hits still happened" true
+    (Circuit.cache_hits bounded > 0)
 
 (* smoothing gadgets exist exactly when Shannon branches forget variables *)
 let test_smoothing_counted () =
@@ -361,21 +371,21 @@ let test_constant_lineages () =
    | Error msg -> Alcotest.fail msg);
   Alcotest.(check int) "⊤ mentions nothing" 0 (Fact.Set.cardinal (Circuit.vars c))
 
-(* the workload runner accepts the backend and returns identical values *)
+(* a workload case answers the same under either exact backend *)
 let test_workload_backend () =
-  let w =
-    Workload.make ~name:"circuit-test"
-      ~cases:
-        [ Workload.case ~name:"star" ~query_src:"R(?x), S(?x,?y)"
-            ~db:(Gen.star ~spokes:3) ]
+  let c =
+    Workload.case ~name:"star" ~query_src:"R(?x), S(?x,?y)"
+      ~db:(Gen.star ~spokes:3)
   in
-  match (Workload.eval ~backend:`Circuit w, Workload.eval ~backend:`Conditioning w) with
-  | [ rc ], [ rk ] ->
-    Alcotest.(check bool) "same values" true
-      (values_equal rc.Workload.values rk.Workload.values);
-    Alcotest.(check string) "circuit stats backend" "circuit"
-      (Stats.backend_name rc.Workload.stats)
-  | _ -> Alcotest.fail "expected one case result each"
+  let run backend =
+    let e = Engine.create ~backend c.Workload.query c.Workload.db in
+    (Engine.svc_all e, Engine.stats e)
+  in
+  let circuit_values, circuit_stats = run `Circuit in
+  Alcotest.(check bool) "same values" true
+    (values_equal circuit_values (fst (run `Conditioning)));
+  Alcotest.(check string) "circuit stats backend" "circuit"
+    (Stats.backend_name circuit_stats)
 
 (* Check's max_vars guard refuses rather than silently skipping *)
 let test_check_max_vars_guard () =
@@ -402,16 +412,6 @@ let test_repeated_universe_fact () =
   Alcotest.check_raises "Poly.Z ring" refused (fun () ->
       ignore (Circuit.For_tests.evaluate_poly_z c ~universe:[ a; a ]));
   check_zpoly "a listed once" Poly.Z.x (Circuit.evaluate c ~universe:[ a ]).Circuit.full
-
-let same_polynomials (a : Circuit.evaluation) (b : Circuit.evaluation) =
-  Poly.Z.equal a.Circuit.full b.Circuit.full
-  && Array.length a.Circuit.by_fact = Array.length b.Circuit.by_fact
-  && Array.for_all2
-       (fun (f1, p1) (f2, p2) -> Fact.equal f1 f2 && Poly.Z.equal p1 p2)
-       a.Circuit.by_fact b.Circuit.by_fact
-
-let same_evaluation a b =
-  same_polynomials a b && a.Circuit.poly_ops = b.Circuit.poly_ops
 
 (* a session arena keeps every earlier compile's nodes; recompiling φ₁
    after φ₂ must cost exactly what the first φ₁ did, because the sweeps

@@ -6,7 +6,7 @@
    must hold of its output.  On top of the differentials, the
    instrumentation contract is pinned: one lineage compilation per
    (query, database), n+1 conditioned counts per [svc_all], and a bounded
-   cache that drops rather than lies. *)
+   memo that drops rather than lies. *)
 
 open Test_util
 
@@ -61,20 +61,31 @@ let prop_banzhaf =
        values_equal (Engine.banzhaf_all e)
          (List.map (fun f -> (f, Svc.banzhaf q db f)) (Database.endo_list db)))
 
-(* a bounded cache changes counters, never answers *)
+(* The polynomials the conditioning path reads every value off, counted
+   against [memo]: the full count C(φ, U), then C(φ[μ:=1], U∖{μ}) per
+   endogenous fact μ. *)
+let conditioned_polynomials ~memo q db =
+  let phi = Lineage.lineage q db in
+  let universe = Database.endo_list db in
+  Compile.size_polynomial_with ~memo ~universe phi
+  :: List.map
+       (fun mu ->
+          Compile.size_polynomial_with ~memo
+            ~universe:(List.filter (fun f -> not (Fact.equal f mu)) universe)
+            (Bform.condition mu true phi))
+       universe
+
+(* a bounded memo changes counters, never answers *)
 let prop_bounded_cache =
   qcheck ~count:50 "tiny cache, same values" Gen.seed_gen
     (fun seed ->
        let q, db = Gen.random_case seed in
-       let unbounded = Engine.create q db in
-       let bounded = Engine.create ~cache_capacity:2 q db in
-       let reference = Engine.svc_all unbounded in
-       let squeezed = Engine.svc_all bounded in
-       values_equal reference squeezed
-       &&
-       match (Engine.stats bounded).Stats.backend with
-       | Stats.Conditioning c -> c.cache_size <= 2 && c.cache_capacity = 2
-       | Stats.Circuit _ | Stats.Sample _ -> true)
+       let bounded = Compile.Memo.create ~capacity:2 () in
+       List.equal Poly.Z.equal
+         (conditioned_polynomials ~memo:(Compile.Memo.create ()) q db)
+         (conditioned_polynomials ~memo:bounded q db)
+       && Compile.Memo.length bounded <= 2
+       && Compile.Memo.capacity bounded = 2)
 
 (* symmetry: the spokes of a star join are interchangeable, so they all
    get the same Shapley value *)
@@ -136,22 +147,15 @@ let test_single_compilation () =
   Alcotest.(check int) "still one compilation" 1 s2.Stats.compilations;
   Alcotest.(check int) "no new misses" misses (fst (memo s2))
 
-(* backend pinned to conditioning: the memo-cache bound under test only
-   bites on the conditioning path *)
 let test_bounded_cache_drops () =
   let db = Gen.bipartite ~rows:3 in
-  let bounded =
-    Engine.create ~backend:`Conditioning ~cache_capacity:4 qrst db
-  in
-  let unbounded = Engine.create ~backend:`Conditioning qrst db in
-  Alcotest.(check bool) "same values" true
-    (values_equal (Engine.svc_all bounded) (Engine.svc_all unbounded));
-  match (Engine.stats bounded).Stats.backend with
-  | Stats.Conditioning c ->
-    Alcotest.(check bool) "drops happened" true (c.cache_drops > 0);
-    Alcotest.(check bool) "size bounded" true (c.cache_size <= 4)
-  | Stats.Circuit _ | Stats.Sample _ ->
-    Alcotest.fail "expected conditioning stats"
+  let bounded = Compile.Memo.create ~capacity:4 () in
+  Alcotest.(check bool) "same polynomials" true
+    (List.equal Poly.Z.equal
+       (conditioned_polynomials ~memo:bounded qrst db)
+       (conditioned_polynomials ~memo:(Compile.Memo.create ()) qrst db));
+  Alcotest.(check bool) "drops happened" true (Compile.Memo.drops bounded > 0);
+  Alcotest.(check bool) "size bounded" true (Compile.Memo.length bounded <= 4)
 
 (* the shared memo is reusable across independent counts: the second
    evaluation of the same formula is a single top-level hit *)
@@ -181,7 +185,7 @@ let test_engine_guards () =
         ignore (Engine.svc e (fact "T" [ "2" ])));
   Alcotest.check_raises "negative capacity"
     (Invalid_argument "Compile.Memo.create: negative capacity") (fun () ->
-        ignore (Engine.create ~cache_capacity:(-1) qrst db))
+        ignore (Compile.Memo.create ~capacity:(-1) ()))
 
 (* the engine's fgmc polynomial is the plain model-counting one *)
 let test_fgmc_polynomial () =
@@ -191,24 +195,20 @@ let test_fgmc_polynomial () =
     (Model_counting.fgmc_polynomial qrst db)
     (Engine.fgmc_polynomial e)
 
-(* Workload evaluation rides through the engine *)
+(* a workload case evaluates through one engine *)
 let test_workload_eval () =
-  let w =
-    Workload.make ~name:"engine-test"
-      ~cases:
-        [ Workload.case ~name:"star" ~query_src:"R(?x), S(?x,?y)"
-            ~db:(Gen.star ~spokes:3) ]
+  let c =
+    Workload.case ~name:"star" ~query_src:"R(?x), S(?x,?y)"
+      ~db:(Gen.star ~spokes:3)
   in
-  match Workload.eval w with
-  | [ r ] ->
-    Alcotest.(check int) "one compilation" 1 r.Workload.stats.Stats.compilations;
-    let total =
-      List.fold_left
-        (fun acc (_, v) -> Rational.add acc v)
-        Rational.zero r.Workload.values
-    in
-    check_rational "efficiency" Rational.one total
-  | _ -> Alcotest.fail "expected one case result"
+  let e = Engine.create c.Workload.query c.Workload.db in
+  let total =
+    List.fold_left
+      (fun acc (_, v) -> Rational.add acc v)
+      Rational.zero (Engine.svc_all e)
+  in
+  Alcotest.(check int) "one compilation" 1 (Engine.stats e).Stats.compilations;
+  check_rational "efficiency" Rational.one total
 
 let suite =
   [

@@ -126,18 +126,14 @@ let prop_banzhaf_parallel =
        values_equal (Engine.banzhaf_all e)
          (List.map (fun f -> (f, Svc.banzhaf q db f)) (Database.endo_list db)))
 
-(* jobs=0 resolves to the host's core count; a tiny per-domain cache can
-   change counters, never values *)
-let prop_auto_jobs_and_tiny_cache =
-  qcheck ~count:40 "jobs=0 auto + bounded parallel cache" Gen.seed_gen
+(* jobs=0 resolves to the host's core count *)
+let prop_auto_jobs =
+  qcheck ~count:40 "jobs=0 auto" Gen.seed_gen
     (fun seed ->
        let q, db = Gen.random_case seed in
-       let reference = Svc.svc_all_naive q db in
        let auto = Engine.create ~jobs:0 q db in
-       let squeezed = Engine.create ~jobs:3 ~cache_capacity:2 q db in
        Engine.jobs auto >= 1
-       && values_equal reference (Engine.svc_all auto)
-       && values_equal reference (Engine.svc_all squeezed))
+       && values_equal (Svc.svc_all_naive q db) (Engine.svc_all auto))
 
 (* `Auto is one function at every jobs: on every registry family the
    resolved backend and the rule's reason at jobs ∈ {2, 4} equal those at
@@ -169,31 +165,31 @@ let prop_auto_same_at_every_jobs =
 (* ------------------------------------------------------------------ *)
 
 let test_determinism_regression () =
-  let w =
-    Workload.make ~name:"determinism"
-      ~cases:
-        [ Workload.case ~name:"star" ~query_src:"R(?x), S(?x,?y)"
-            ~db:(Gen.star ~spokes:7);
-          Workload.case ~name:"rst" ~query_src:"R(?x), S(?x,?y), T(?y)"
-            ~db:(Gen.bipartite ~rows:3) ]
+  let run (c : Workload.case) =
+    let e = Engine.create ~jobs:4 c.Workload.query c.Workload.db in
+    let values = Engine.svc_all e in
+    (values, Engine.stats e)
   in
-  let r1 = Workload.eval ~jobs:4 w in
-  let r2 = Workload.eval ~jobs:4 w in
-  List.iter2
-    (fun (a : Workload.case_result) (b : Workload.case_result) ->
+  List.iter
+    (fun (c : Workload.case) ->
+       let v1, s1 = run c and v2, s2 = run c in
        Alcotest.(check bool)
-         (a.Workload.rcase.Workload.cname ^ ": identical ordered values") true
-         (values_equal a.Workload.values b.Workload.values);
+         (c.Workload.cname ^ ": identical ordered values") true
+         (values_equal v1 v2);
        Alcotest.(check bool)
-         (a.Workload.rcase.Workload.cname ^ ": identical deterministic stats")
+         (c.Workload.cname ^ ": identical deterministic stats")
          true
-         (Stats.normalize a.Workload.stats = Stats.normalize b.Workload.stats))
-    r1 r2
+         (Stats.normalize s1 = Stats.normalize s2))
+    [ Workload.case ~name:"star" ~query_src:"R(?x), S(?x,?y)"
+        ~db:(Gen.star ~spokes:7);
+      Workload.case ~name:"rst" ~query_src:"R(?x), S(?x,?y), T(?y)"
+        ~db:(Gen.bipartite ~rows:3) ]
 
 (* the parallel stats contract: every fact evaluated exactly once across
    the domain slots under the explicit conditioning backend, n+1
    conditionings as in the serial engine, one slot record per worker;
-   under `Auto the slots share out the class representatives instead *)
+   under `Auto the slots share out the class representatives instead,
+   and two classes at jobs 4 run two slots *)
 let test_parallel_stats_shape () =
   let db = Gen.star ~spokes:9 in
   let q = Query_parse.parse "R(?x), S(?x,?y)" in
@@ -215,6 +211,11 @@ let test_parallel_stats_shape () =
   let s = Engine.stats auto in
   Alcotest.(check int) "auto: hub and spokes are two classes" 2
     (Symmetry.count (Engine.classes auto));
+  Alcotest.(check int) "auto: one slot per class, not per job" 2
+    (match s.Stats.backend with
+     | Stats.Conditioning c -> Array.length c.domains
+     | Stats.Circuit _ | Stats.Sample _ -> 0);
+  Alcotest.(check int) "auto: jobs as configured" 4 s.Stats.jobs;
   Alcotest.(check int) "auto: every class evaluated once" 2 (Stats.par_facts s);
   Alcotest.(check int) "auto: classes+1 conditionings" 3 s.Stats.conditionings;
   Alcotest.(check bool) "auto: same values" true
@@ -261,7 +262,7 @@ let suite =
     prop_jobs_vs_naive;
     prop_jobs_vs_naive_graph;
     prop_banzhaf_parallel;
-    prop_auto_jobs_and_tiny_cache;
+    prop_auto_jobs;
     prop_auto_same_at_every_jobs;
     Alcotest.test_case "determinism regression at jobs=4" `Quick
       test_determinism_regression;

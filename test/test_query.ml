@@ -122,7 +122,7 @@ let test_hom_closed_flag () =
     (Query.is_hom_closed_syntactically
        (Query.And (Query_parse.parse "R(?x)", Query_parse.parse "cqneg: R(?x), !S(?x)")))
 
-let test_cqneg_eval_cases () =
+let test_cqneg_evaluation () =
   let q = Cqneg.parse "R(?x), !S(?x)" in
   Alcotest.(check bool) "negation blocks" false
     (Cqneg.eval q (facts [ fact "R" [ "1" ]; fact "S" [ "1" ] ]));
@@ -168,7 +168,7 @@ let suite =
     Alcotest.test_case "fresh support via core" `Quick test_fresh_support_core_collapse;
     Alcotest.test_case "relevance" `Quick test_relevance;
     Alcotest.test_case "hom-closure flag" `Quick test_hom_closed_flag;
-    Alcotest.test_case "CQ¬ evaluation" `Quick test_cqneg_eval_cases;
+    Alcotest.test_case "CQ¬ evaluation" `Quick test_cqneg_evaluation;
     Alcotest.test_case "CQ¬ components" `Quick test_cqneg_components;
     prop_supports_are_supports;
   ]
