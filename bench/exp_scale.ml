@@ -40,13 +40,14 @@ let scale () =
 (* SAMPLE: the anytime sampling backend where exact SVC is out of
    reach — 10^3..10^4 endogenous facts, on the unsafe q_RST complete
    bipartite family and the safe star family.  Emits BENCH_sample.json
-   (uploaded by the CI bench-smoke job).  The gate: on every instance
+   (uploaded by the CI bench-smoke job).  The gates: on every instance
    the Monte-Carlo estimator reports a 95% CI half-width <= 1/20 within
-   the draw budget.  On a small instance the exact values must
-   additionally lie inside a high-confidence run's intervals — that
-   check always runs.
-   BENCH_SAMPLE_CAP bounds |Dn| on smoke runs, which skips the
-   convergence gate (machine-readably, like BENCH_parallel.json). *)
+   the draw budget, and its [Engine.svc_all] allocates at most
+   [max_alloc_mb].  On a small instance the exact values must
+   additionally lie inside a high-confidence run's intervals.  Those
+   two checks always run.  BENCH_SAMPLE_CAP bounds |Dn| on smoke runs,
+   which skips the convergence gate (machine-readably, like
+   BENCH_parallel.json). *)
 let sample_cap () =
   match Sys.getenv_opt "BENCH_SAMPLE_CAP" with
   | None | Some "" -> max_int
@@ -59,6 +60,25 @@ let sample_cap () =
 let lineage_ms_before =
   [ (1088, 75.5); (2600, 526.7); (5040, 2013.2); (10200, 8177.3);
     (1001, 124.2); (10001, 11692.4) ]
+
+(* [Engine.svc_all] per instance, keyed by |Dn|, before the sampler's
+   draws stopped allocating and a monotone permutation became one
+   threshold sweep (one full run, release build, 2-vCPU x86_64 host):
+   the "before" next to each entry's [eval_ms]. *)
+let eval_ms_before =
+  [ (1088, 48.2); (2600, 126.9); (5040, 254.7); (10200, 525.1);
+    (1001, 36.6); (10001, 488.9) ]
+
+(* The allocation gate, per instance.  Before the draws stopped
+   allocating, the sampler alone allocated 208-464 MB at 784-1,584
+   q_RST facts. *)
+let max_alloc_mb = 64.
+
+(* a recorded "before" figure for |Dn| = n, or JSON null *)
+let before table n =
+  match List.assoc_opt n table with
+  | Some ms -> Printf.sprintf "%.1f" ms
+  | None -> "null"
 
 let sample () =
   Report.heading "SAMPLE"
@@ -73,13 +93,17 @@ let sample () =
         ~label:"safe R(x),S(x,y) [star]" [ 1000; 10000 ]
   in
   let rows = ref [] and entries = ref [] and all_converged = ref true in
+  let alloc_ok = ref true in
   List.iter
     (fun (family, q, db) ->
        let n = Database.size_endo db in
        let e, lineage_s =
          Report.time_it (fun () -> Engine.create ~backend:(`Sample cfg) q db)
        in
+       let bytes_before = Gc.allocated_bytes () in
        let _, eval_s = Report.time_it (fun () -> Engine.svc_all e) in
+       let alloc_mb = (Gc.allocated_bytes () -. bytes_before) /. 1e6 in
+       if alloc_mb > max_alloc_mb then alloc_ok := false;
        let st = Engine.stats e in
        let hw, draws, converged =
          match Engine.sample_report e with
@@ -92,23 +116,22 @@ let sample () =
        rows :=
          [ family; string_of_int n; Report.ms lineage_s; string_of_int draws;
            Printf.sprintf "%.4f" hw; Report.ms eval_s;
+           Printf.sprintf "%.1f MB" alloc_mb;
            (if converged then "yes" else "NO") ]
          :: !rows;
        entries :=
          Printf.sprintf
            "{\"family\":%S,\"n_endo\":%d,\"lineage_ms\":%.1f,\
-            \"lineage_ms_before\":%s,\"eval_ms\":%.1f,\"max_hw_float\":%.5f,\
-            \"stats\":%s}"
-           family n (lineage_s *. 1000.)
-           (match List.assoc_opt n lineage_ms_before with
-            | Some ms -> Printf.sprintf "%.1f" ms
-            | None -> "null")
-           (eval_s *. 1000.) hw (Stats.to_json st)
+            \"lineage_ms_before\":%s,\"eval_ms\":%.1f,\"eval_ms_before\":%s,\
+            \"alloc_mb\":%.2f,\"max_hw_float\":%.5f,\"stats\":%s}"
+           family n (lineage_s *. 1000.) (before lineage_ms_before n)
+           (eval_s *. 1000.) (before eval_ms_before n) alloc_mb hw
+           (Stats.to_json st)
          :: !entries)
     instances;
   Report.table
     ~headers:[ "query [instance family]"; "|Dn|"; "lineage"; "draws"; "95% CI hw";
-               "eval"; "converged" ]
+               "eval"; "eval alloc"; "converged" ]
     (List.rev !rows);
   (* small-instance sanity: on a 15-fact instance the exact values must
      lie inside every interval of a budget-bound run at confidence
@@ -147,16 +170,18 @@ let sample () =
     | Some _ -> "skipped (capped smoke run)"
     | None -> "enforced"
   in
-  let pass = sanity && (!all_converged || skipped <> None) in
+  Printf.printf "Every svc_all allocates at most %.0f MB: %s\n" max_alloc_mb
+    (Report.ok !alloc_ok);
+  let pass = sanity && !alloc_ok && (!all_converged || skipped <> None) in
   let oc = open_out "BENCH_sample.json" in
   output_string oc
     (Printf.sprintf
        "{\"experiment\":\"sample\",\"cap\":%s,\"seed\":1,\
         \"epsilon\":\"1/20\",\"confidence\":\"19/20\",\"max_draws\":4096,\
-        \"coverage_sanity\":%b,\"gate\":%S,\"skipped\":%s,\"pass\":%b,\
-        \"entries\":[%s]}\n"
+        \"coverage_sanity\":%b,\"max_alloc_mb\":%.0f,\"alloc_ok\":%b,\
+        \"gate\":%S,\"skipped\":%s,\"pass\":%b,\"entries\":[%s]}\n"
        (if cap = max_int then "null" else string_of_int cap)
-       sanity gate
+       sanity max_alloc_mb !alloc_ok gate
        (match skipped with None -> "null" | Some r -> Printf.sprintf "%S" r)
        pass
        (String.concat "," (List.rev !entries)));

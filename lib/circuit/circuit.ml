@@ -89,6 +89,7 @@ module Session = struct
   type t = { mutable prev : circuit option; cache : int Fcache.t }
 
   let create () = { prev = None; cache = Fcache.create 256 }
+  let nodes s = match s.prev with Some c -> c.len | None -> 0
 end
 
 exception Node_cap
@@ -284,6 +285,22 @@ let mark_live c ~base_len =
   done;
   (Array.of_list !live, !edges, !reused)
 
+(* Undo a build stopped at the cap: the ids it appended ([base_len] up)
+   leave the hash-cons table and the formula cache, their arena slots
+   are cleared (the base circuit's arrays share them unless the build
+   grew the arena), and the session gets its base circuit back.  The
+   base's own nodes and cache entries stay untouched. *)
+let rollback c session ~base ~base_len =
+  for id = base_len to c.len - 1 do
+    Unique.remove c.unique c.nodes.(id);
+    c.nodes.(id) <- NTrue;
+    c.varsets.(id) <- Fact.Set.empty
+  done;
+  Fcache.filter_map_inplace
+    (fun _ id -> if id >= base_len then None else Some id)
+    session.Session.cache;
+  session.Session.prev <- base
+
 let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
     ?(max_nodes = max_int) ?(session = Session.create ()) phi =
   if cache_capacity < 0 then invalid_arg "Circuit.compile: negative capacity";
@@ -345,14 +362,17 @@ let compile ?(tel = Telemetry.disabled ()) ?plan ?(cache_capacity = max_int)
   in
   (* The session's hash-cons table and formula cache name every node
      this build allocates, so the session takes this arena before the
-     build starts: a build stopped at the cap leaves the session holding
-     the nodes it got to, which are valid because the arena is
-     append-only, and the next compile appends after them. *)
+     build starts, and a build stopped at the cap hands it back as it
+     found it. *)
   session.Session.prev <- Some c;
-  Telemetry.span tel "circuit.compile" (fun () ->
-      ignore (alloc c NTrue Fact.Set.empty : int); (* id 0 *)
-      ignore (alloc c NFalse Fact.Set.empty : int); (* id 1 *)
-      c.root <- build c rank session.Session.cache phi);
+  (try
+     Telemetry.span tel "circuit.compile" (fun () ->
+         ignore (alloc c NTrue Fact.Set.empty : int); (* id 0 *)
+         ignore (alloc c NFalse Fact.Set.empty : int); (* id 1 *)
+         c.root <- build c rank session.Session.cache phi)
+   with Node_cap ->
+     rollback c session ~base ~base_len;
+     raise Node_cap);
   let live, edges, reused = mark_live c ~base_len in
   let nodes = Array.length live in
   c.live <- live;

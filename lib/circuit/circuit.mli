@@ -69,6 +69,10 @@ module Session : sig
   type t
 
   val create : unit -> t
+
+  val nodes : t -> int
+  (** The arena length: every node the session's compiles have
+      allocated, reachable or not.  [0] for a fresh session. *)
 end
 
 exception Node_cap
@@ -92,8 +96,9 @@ val compile :
     and nodes the build allocates but the root does not reach count.
     A build that fits the cap gives the same circuit as an uncapped
     one; a build that would pass it stops and raises {!Node_cap}.  A
-    stopped build still leaves its session sound: the session keeps
-    the nodes it allocated, and later compiles build on them.
+    stopped build leaves its session as it found it: the nodes it
+    allocated leave the arena, the hash-cons table and the formula
+    cache, so {!Session.nodes} reads as before the build.
 
     [plan] steers the build without being trusted for correctness:
     Shannon expansion decides variables in the plan's branch order

@@ -8,7 +8,12 @@
    Sh(μ) is the expected marginal contribution of μ to the coalition of
    facts that precede it in a uniform random permutation of U, so one
    permutation yields one draw for every fact at once, and the Hoeffding
-   width at a shared draw count is the same for every fact. *)
+   width at a shared draw count is the same for every fact.
+
+   A draw allocates nothing: the generator's state is unboxed and
+   reseeded in place, and the lineage sweeps recurse without closures,
+   so a run's allocation is its set-up, its report and the width
+   arithmetic of each 64-draw round. *)
 
 (* Kept, with [config]'s ignored [?strategy], only for
    perfbench/svcbench.ml, which still names the estimator it wants. *)
@@ -67,13 +72,15 @@ type report = {
 (* ------------------------------------------------------------------ *)
 
 module Rng = struct
-  type t = { mutable s : int64 }
+  (* The xorshift64* state, unboxed in 8 bytes: a mutable [int64] field
+     would box a fresh word on every step. *)
+  type t = Bytes.t
 
   let golden = 0x9E3779B97F4A7C15L
 
   (* splitmix64's output mixer: a bijection on 64-bit words with full
      avalanche, used both to seed and to derive substreams *)
-  let mix64 z =
+  let[@inline] mix64 z =
     let z =
       Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
         0xBF58476D1CE4E5B9L
@@ -84,25 +91,34 @@ module Rng = struct
     in
     Int64.logxor z (Int64.shift_right_logical z 31)
 
+  let[@inline] root seed = mix64 (Int64.add (Int64.of_int seed) golden)
+
+  let[@inline] child z i =
+    mix64 (Int64.add (Int64.mul z 0x100000001B3L) (Int64.of_int (i + 1)))
+
   (* xorshift64* needs a nonzero state *)
-  let of_state z = { s = (if Int64.equal z 0L then golden else z) }
+  let[@inline] set t z =
+    Bytes.set_int64_ne t 0 (if Int64.equal z 0L then golden else z)
 
-  let create seed = of_state (mix64 (Int64.add (Int64.of_int seed) golden))
+  let of_state z =
+    let t = Bytes.create 8 in
+    set t z;
+    t
 
-  let of_path seed path =
-    let z0 = mix64 (Int64.add (Int64.of_int seed) golden) in
-    of_state
-      (List.fold_left
-         (fun acc i ->
-            mix64 (Int64.add (Int64.mul acc 0x100000001B3L) (Int64.of_int (i + 1))))
-         z0 path)
+  let create seed = of_state (root seed)
+  let of_path seed path = of_state (List.fold_left child (root seed) path)
 
-  let next t =
-    let s = t.s in
+  (* [t] becomes [of_path seed [ p ]]: a draw's substream without a
+     fresh generator per draw *)
+  let reset t seed p = set t (child (root seed) p)
+
+  (* inlined, so its callers keep the word unboxed too *)
+  let[@inline] next t =
+    let s = Bytes.get_int64_ne t 0 in
     let s = Int64.logxor s (Int64.shift_left s 13) in
     let s = Int64.logxor s (Int64.shift_right_logical s 7) in
     let s = Int64.logxor s (Int64.shift_left s 17) in
-    t.s <- s;
+    Bytes.set_int64_ne t 0 s;
     Int64.mul s 0x2545F4914F6CDD1DL
 
   let int t bound =
@@ -134,8 +150,10 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* The compiled Bform is re-indexed over int variables so a draw is one
-   O(|φ|) sweep against a mutable membership array — no Fact.Set
-   allocation per evaluation (Bform.eval would build one per probe). *)
+   O(|φ|) sweep against a mutable array — no Fact.Set allocation per
+   evaluation (Bform.eval would build one per probe).  The sweeps
+   recurse through top-level functions only: a local closure per ∧ or
+   ∨ would be a heap block per visit. *)
 module Nf = struct
   type t =
     | T
@@ -167,14 +185,43 @@ module Nf = struct
     | F -> false
     | V i -> present.(i)
     | Not b -> not (eval present b)
-    | And bs ->
-      let n = Array.length bs in
-      let rec all i = i >= n || (eval present bs.(i) && all (i + 1)) in
-      all 0
-    | Or bs ->
-      let n = Array.length bs in
-      let rec any i = i < n && (eval present bs.(i) || any (i + 1)) in
-      any 0
+    | And bs -> all present bs 0
+    | Or bs -> any present bs 0
+
+  and all present bs i =
+    i >= Array.length bs || (eval present bs.(i) && all present bs (i + 1))
+
+  and any present bs i =
+    i < Array.length bs && (eval present bs.(i) || any present bs (i + 1))
+
+  (* The least prefix length of a permutation at which a monotone
+     formula holds ([max_int] if none does), where [pos.(i)] is fact i's
+     position in it.  The prefixes of one permutation form a chain, so
+     the formula holds at prefix k exactly when k reaches this
+     threshold: a variable needs its own position, an ∧ the latest of
+     its children and an ∨ the earliest.  Only a value below [cut] can
+     matter to the caller, so an ∧ stops once its running max reaches
+     the cut (returning a value >= it), and an ∨ passes its running min
+     down as the cut. *)
+  let rec threshold pos cut = function
+    | T -> 0
+    | F -> max_int
+    | V i -> pos.(i) + 1
+    | Not _ -> invalid_arg "Sample.Nf.threshold: non-monotone formula"
+    | And bs -> latest pos cut bs 0 0
+    | Or bs -> earliest pos cut bs 0 max_int
+
+  and latest pos cut bs i acc =
+    if i >= Array.length bs || acc >= cut then acc
+    else
+      let t = threshold pos cut bs.(i) in
+      latest pos cut bs (i + 1) (if t > acc then t else acc)
+
+  and earliest pos cut bs i acc =
+    if i >= Array.length bs then acc
+    else
+      let t = threshold pos (if acc < cut then acc else cut) bs.(i) in
+      earliest pos cut bs (i + 1) (if t < acc then t else acc)
 
   let rec monotone = function
     | T | F | V _ -> true
@@ -252,13 +299,23 @@ let finish ctx ~sums ~m ~hw =
 
 let empty_report ctx = finish ctx ~sums:[||] ~m:0 ~hw:Rational.zero
 
+(* A half-width in parts per million, rounded up (gauges and span
+   attributes carry ints). *)
+let ppm hw =
+  let x = Rational.mul hw (Rational.of_int 1_000_000) in
+  let q, r = Bigint.divmod (Rational.num x) (Rational.den x) in
+  Bigint.to_int (if Bigint.is_zero r then q else Bigint.succ q)
+
 (* The anytime loop of the estimators whose every draw serves every fact
-   ([monte_carlo] and [banzhaf]): rounds of [batch] draws, each in a
-   [sample.round] span, until the Hoeffding width — the same for every
-   fact at a shared draw count — reaches epsilon or the draw budget is
-   spent.  [draw d] runs draw [d], adding each fact's marginal
-   contribution to its entry of [sums]. *)
-let shared_draws ctx tel ~sums draw =
+   ([monte_carlo] and [uniform_coalitions]): rounds of [batch] draws,
+   each in a [sample.round] span, until the Hoeffding width — the same
+   for every fact at a shared draw count — reaches epsilon or the draw
+   budget is spent.  [draw d] runs draw [d], adding each fact's marginal
+   contribution to its entry of [sums].  The width a round reaches
+   depends only on its draw count, so it is known before the round: the
+   span carries it as [hw_ppm], and [gauge] takes it after the round, so
+   a trace shows the run approach its target. *)
+let shared_draws ctx tel gauge ~sums draw =
   let cfg = ctx.cfg in
   let range = range_of ctx in
   let log_term = Bound.log_term ~confidence:cfg.confidence ~intervals:1 in
@@ -267,16 +324,21 @@ let shared_draws ctx tel ~sums draw =
   let stop = ref false in
   while not !stop do
     let b = min batch (cfg.max_draws - !m) in
+    let first = !m in
+    m := first + b;
+    hw := Bound.hoeffding ~range ~log_term ~m:!m;
+    let hw_ppm = ppm !hw in
     Telemetry.span tel
       ~attrs:
-        (if Telemetry.enabled tel then [ ("draws", string_of_int b) ] else [])
+        (if Telemetry.enabled tel then
+           [ ("draws", string_of_int b); ("hw_ppm", string_of_int hw_ppm) ]
+         else [])
       "sample.round"
       (fun () ->
-         for d = !m to !m + b - 1 do
+         for d = first to first + b - 1 do
            draw d
          done);
-    m := !m + b;
-    hw := Bound.hoeffding ~range ~log_term ~m:!m;
+    Telemetry.Gauge.set gauge hw_ppm;
     if Rational.leq !hw cfg.epsilon || !m >= cfg.max_draws then stop := true
   done;
   finish ctx ~sums ~m:!m ~hw:!hw
@@ -288,34 +350,28 @@ let shared_draws ctx tel ~sums draw =
 (* One permutation yields a marginal contribution for every fact: the
    estimate of Sh(μ) is the mean of μ's contributions, the draw budget
    counts shared permutations.  Monotone lineages take the pivot fast
-   path — along any permutation φ flips false→true at most once, so the
-   flip position is found by binary search over prefix lengths
-   (O(log n) evaluations) and only the pivot fact's sums move.  The
-   Hoeffding width at shared m is the same for every fact. *)
-let monte_carlo ctx tel =
-  let cfg = ctx.cfg and n = ctx.n in
+   path — along any permutation φ flips false→true at most once, at the
+   permutation's threshold ([Nf.threshold]), so one sweep, counted as
+   one evaluation, finds the pivot, and only the pivot fact's sums move.
+   The Hoeffding width at shared m is the same for every fact.  Returns
+   the sums and the draw that fills them. *)
+let monte_carlo ctx =
+  let seed = ctx.cfg.seed and n = ctx.n in
   let sums = Array.make n 0 in
   let perm = Array.init n Fun.id in
-  (* φ(∅) and φ(U) decide whether a monotone permutation has a pivot *)
+  let pos = Array.make n 0 in
+  (* φ(∅) and φ(U) decide whether a monotone permutation has a pivot;
+     when it has one, φ(∅) false and φ(U) true put its threshold in
+     [1, n] *)
   Array.fill ctx.present 0 n false;
   let empty_true = eval ctx in
   Array.fill ctx.present 0 n true;
   let full_true = eval ctx in
   Array.fill ctx.present 0 n false;
   let constant = ctx.mono && (empty_true || not full_true) in
-  let cur = ref 0 in
-  let set_prefix target =
-    while !cur < target do
-      ctx.present.(perm.(!cur)) <- true;
-      incr cur
-    done;
-    while !cur > target do
-      decr cur;
-      ctx.present.(perm.(!cur)) <- false
-    done
-  in
+  let rng = Rng.create 0 in
   let one_permutation p =
-    let rng = Rng.of_path cfg.seed [ p ] in
+    Rng.reset rng seed p;
     for i = n - 1 downto 1 do
       let j = Rng.int rng (i + 1) in
       let t = perm.(i) in
@@ -324,16 +380,12 @@ let monte_carlo ctx tel =
     done;
     if constant then ()
     else if ctx.mono then begin
-      (* invariant: φ(prefix lo) = false, φ(prefix hi) = true *)
-      let lo = ref 0 and hi = ref n in
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        set_prefix mid;
-        if eval ctx then hi := mid else lo := mid
+      for i = 0 to n - 1 do
+        pos.(perm.(i)) <- i
       done;
-      let pivot = perm.(!hi - 1) in
-      sums.(pivot) <- sums.(pivot) + 1;
-      set_prefix 0
+      incr ctx.evals;
+      let pivot = perm.(Nf.threshold pos max_int ctx.nf - 1) in
+      sums.(pivot) <- sums.(pivot) + 1
     end
     else begin
       let prev = ref empty_true in
@@ -347,64 +399,59 @@ let monte_carlo ctx tel =
       Array.fill ctx.present 0 n false
     end
   in
-  shared_draws ctx tel ~sums one_permutation
-
-(* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let record_metrics tel report =
-  Telemetry.Counter.add (Telemetry.counter tel "sample.draws")
-    report.total_draws;
-  Telemetry.Counter.add (Telemetry.counter tel "sample.evals")
-    report.total_evals;
-  (* half-width in parts per million, rounded up (gauges are ints) *)
-  let ppm =
-    let x = Rational.mul report.max_half_width (Rational.of_int 1_000_000) in
-    let q, r = Bigint.divmod (Rational.num x) (Rational.den x) in
-    Bigint.to_int (if Bigint.is_zero r then q else Bigint.succ q)
-  in
-  Telemetry.Gauge.set (Telemetry.gauge tel "sample.max_hw_ppm") ppm
-
-let shapley ?(tel = Telemetry.disabled ()) cfg ~universe phi =
-  validate cfg;
-  let ctx = make_ctx cfg universe phi in
-  let report =
-    Telemetry.span tel "sample.eval" (fun () ->
-        if ctx.n = 0 then empty_report ctx else monte_carlo ctx tel)
-  in
-  record_metrics tel report;
-  report
+  (sums, one_permutation)
 
 (* Banzhaf: the value is the expected marginal contribution over one
    uniform coalition of U∖{μ}, so one shared uniform subset per draw
    serves every fact (1 + n evaluations: the subset once, then each
    fact's membership flipped). *)
-let banzhaf ?(tel = Telemetry.disabled ()) cfg ~universe phi =
+let uniform_coalitions ctx =
+  let seed = ctx.cfg.seed and n = ctx.n in
+  let sums = Array.make n 0 in
+  let rng = Rng.create 0 in
+  let one_draw d =
+    Rng.reset rng seed d;
+    for i = 0 to n - 1 do
+      ctx.present.(i) <- Rng.bool rng
+    done;
+    let base = b2i (eval ctx) in
+    for i = 0 to n - 1 do
+      let was = ctx.present.(i) in
+      ctx.present.(i) <- not was;
+      let flipped = b2i (eval ctx) in
+      ctx.present.(i) <- was;
+      (* φ with μ minus φ without it *)
+      sums.(i) <- sums.(i) + (if was then base - flipped else flipped - base)
+    done
+  in
+  (sums, one_draw)
+
+(* ------------------------------------------------------------------ *)
+(* Entry points                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Both entry points: [estimator] gives the sums and the draw of a
+   non-empty universe, and [shared_draws] runs it.  The metrics are
+   registered before the run, in the order the exporters list them. *)
+let run tel cfg ~universe phi estimator =
   validate cfg;
   let ctx = make_ctx cfg universe phi in
-  let n = ctx.n in
+  let draws = Telemetry.counter tel "sample.draws" in
+  let evals = Telemetry.counter tel "sample.evals" in
+  let hw_ppm = Telemetry.gauge tel "sample.max_hw_ppm" in
   let report =
-    Telemetry.span tel "sample.eval" @@ fun () ->
-    if n = 0 then empty_report ctx
-    else begin
-      let sums = Array.make n 0 in
-      let one_draw d =
-        let rng = Rng.of_path cfg.seed [ d ] in
-        for i = 0 to n - 1 do ctx.present.(i) <- Rng.bool rng done;
-        let base = eval ctx in
-        for i = 0 to n - 1 do
-          let was = ctx.present.(i) in
-          ctx.present.(i) <- not was;
-          let flipped = eval ctx in
-          ctx.present.(i) <- was;
-          let v1, v0 = if was then (base, flipped) else (flipped, base) in
-          let d = b2i v1 - b2i v0 in
-          sums.(i) <- sums.(i) + d
-        done
-      in
-      shared_draws ctx tel ~sums one_draw
-    end
+    Telemetry.span tel "sample.eval" (fun () ->
+        if ctx.n = 0 then empty_report ctx
+        else
+          let sums, draw = estimator ctx in
+          shared_draws ctx tel hw_ppm ~sums draw)
   in
-  record_metrics tel report;
+  Telemetry.Counter.add draws report.total_draws;
+  Telemetry.Counter.add evals report.total_evals;
   report
+
+let shapley ?(tel = Telemetry.disabled ()) cfg ~universe phi =
+  run tel cfg ~universe phi monte_carlo
+
+let banzhaf ?(tel = Telemetry.disabled ()) cfg ~universe phi =
+  run tel cfg ~universe phi uniform_coalitions

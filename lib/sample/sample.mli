@@ -13,10 +13,13 @@
 
     The Shapley estimator is ApproShapley permutation sampling.  One
     uniform random permutation of the universe yields a marginal
-    contribution for {e every} fact at once (for monotone lineages
-    exactly one fact per permutation flips the query — found by binary
-    search over prefix lengths in [O(log n)] evaluations); the estimate
-    for each fact is the mean of its contributions.  One "draw" = one
+    contribution for {e every} fact at once; the estimate for each fact
+    is the mean of its contributions.  For monotone lineages exactly one
+    fact per permutation flips the query, at the least prefix length at
+    which the lineage holds: one min/max sweep over the lineage finds it
+    (a fact needs its own position, an ∧ the latest of its children, an
+    ∨ the earliest), and the sweep counts as one evaluation.  Other
+    lineages are evaluated at every prefix.  One "draw" = one
     permutation, shared by all facts, so the interval width at a given
     draw count does not depend on the number of facts.
 
@@ -78,7 +81,12 @@ type estimate = {
 type report = {
   estimates : estimate array;  (** in universe order *)
   total_draws : int;  (** shared draws, counted once *)
-  total_evals : int;  (** lineage evaluations performed *)
+  total_evals : int;
+      (** lineage evaluations performed.  {!shapley} evaluates the
+          empty and the full universe once, then takes one threshold
+          sweep per permutation of a monotone lineage (none if that
+          lineage is constant) and one evaluation per prefix of any
+          other; {!banzhaf} takes [1 + n] per draw. *)
   max_half_width : Rational.t;  (** the per-fact half-width *)
   familywise_half_width : Rational.t;
       (** the half-width at which all [n] intervals hold at once at
@@ -96,7 +104,10 @@ val shapley :
     When [tel] is given, the run is a [sample.eval] span with one
     [sample.round] span per batch round, and the [sample.draws] /
     [sample.evals] counters and the [sample.max_hw_ppm] gauge
-    (half-width in parts per million, rounded up) are updated.
+    (half-width in parts per million, rounded up) are updated.  Each
+    round's span carries its [draws] and the per-fact half-width
+    [hw_ppm] it reaches, and the gauge takes that width after every
+    round.
     @raise Invalid_argument if the config is invalid ({!validate}) or
     [phi] mentions a fact outside [universe]. *)
 

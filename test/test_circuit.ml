@@ -457,11 +457,10 @@ let test_node_cap () =
   Alcotest.check_raises "cap below the live size" Circuit.Node_cap (fun () ->
       ignore (Circuit.compile ~max_nodes:(Circuit.node_count free - 1) phi))
 
-(* a build stopped at the cap leaves its session holding the nodes it
-   allocated, so the session stays sound: recompiling the same road
-   afterwards is a valid circuit with a fresh compile's polynomials (the
-   session shares sub-circuits, so its ring-operation count may
-   differ) *)
+(* a build stopped at the cap leaves its session sound: recompiling the
+   same road afterwards is a valid circuit with a fresh compile's
+   polynomials (the session shares sub-circuits, so its ring-operation
+   count may differ) *)
 let test_node_cap_session () =
   let warm, _ = road_lineage ~size:12 ~seed:2 in
   let phi, universe = road_lineage ~size:20 ~seed:1 in
@@ -481,6 +480,43 @@ let test_node_cap_session () =
     (same_polynomials
        (Circuit.evaluate again ~universe)
        (Circuit.evaluate (Circuit.compile phi) ~universe))
+
+(* a build stopped at the cap leaves its session as it found it: the
+   arena keeps its length, and the next uncapped compile builds exactly
+   what it builds in a session that never saw the stopped attempt — at a
+   cap the arena does not grow past and at one it does *)
+let test_node_cap_rollback () =
+  let phi1, _ = road_lineage ~size:12 ~seed:2 in
+  let phi2, universe = road_lineage ~size:20 ~seed:1 in
+  let warm () =
+    let session = Circuit.Session.create () in
+    ignore (Circuit.compile ~session phi1 : Circuit.t);
+    session
+  in
+  let clean = warm () in
+  let base = Circuit.Session.nodes clean in
+  let want = Circuit.compile ~session:clean phi2 in
+  let built = Circuit.Session.nodes clean - base in
+  List.iter
+    (fun cap ->
+       let session = warm () in
+       Alcotest.check_raises
+         (Printf.sprintf "cap %d stops the build" cap)
+         Circuit.Node_cap
+         (fun () -> ignore (Circuit.compile ~session ~max_nodes:cap phi2));
+       Alcotest.(check int) "arena length unchanged" base
+         (Circuit.Session.nodes session);
+       let got = Circuit.compile ~session phi2 in
+       Alcotest.(check (list int)) "same nodes, reuse and arena"
+         [ Circuit.node_count want; Circuit.reused_nodes want;
+           Circuit.Session.nodes clean ]
+         [ Circuit.node_count got; Circuit.reused_nodes got;
+           Circuit.Session.nodes session ];
+       Alcotest.(check bool) "same evaluation" true
+         (same_evaluation
+            (Circuit.evaluate want ~universe)
+            (Circuit.evaluate got ~universe)))
+    [ 60; built - 1 ]
 
 let both_rings_agree c ~universe =
   same_evaluation
@@ -568,4 +604,6 @@ let suite =
     Alcotest.test_case "node cap: fits or raises" `Quick test_node_cap;
     Alcotest.test_case "node cap leaves the session sound" `Quick
       test_node_cap_session;
+    Alcotest.test_case "node cap rolls its build back" `Quick
+      test_node_cap_rollback;
   ]

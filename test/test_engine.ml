@@ -210,6 +210,24 @@ let test_workload_eval () =
   Alcotest.(check int) "one compilation" 1 (Engine.stats e).Stats.compilations;
   check_rational "efficiency" Rational.one total
 
+(* An [`Auto] engine whose capped circuit trial overflows keeps none of
+   the trial's nodes: this 50-fact road resolves to conditioning, and
+   its engine holds well under a megabyte of live heap after [create]
+   (44 MB while the stopped build stayed in the engine's session). *)
+let test_overflowed_trial_heap () =
+  let c = Workload.generate ~family:"rpq-road" ~seed:2 ~size:30 in
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let e = Engine.create c.Workload.query c.Workload.db in
+  Gc.compact ();
+  let after = (Gc.stat ()).Gc.live_words in
+  Alcotest.(check string) "resolves to conditioning" "conditioning"
+    (Engine.backend_name (Engine.backend e));
+  let mb = float_of_int (after - before) *. 8. /. 1e6 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f MB live after create <= 1 MB" mb)
+    true (mb <= 1.)
+
 let suite =
   [
     prop_engine_vs_naive;
@@ -227,4 +245,6 @@ let suite =
     Alcotest.test_case "guards" `Quick test_engine_guards;
     Alcotest.test_case "fgmc polynomial" `Quick test_fgmc_polynomial;
     Alcotest.test_case "workload eval stats" `Quick test_workload_eval;
+    Alcotest.test_case "an overflowed trial leaves no dead nodes" `Quick
+      test_overflowed_trial_heap;
   ]

@@ -323,6 +323,183 @@ let test_stats_surface () =
   | Stats.Conditioning _ | Stats.Circuit _ ->
     Alcotest.fail "expected sample stats"
 
+(* ------------------------------------------------------------------ *)
+(* The threshold sweep against ApproShapley by definition              *)
+(* ------------------------------------------------------------------ *)
+
+let rec monotone = function
+  | Bform.True | Bform.False | Bform.Fv _ -> true
+  | Bform.Not _ -> false
+  | Bform.And l | Bform.Or l -> List.for_all monotone l
+
+(* ApproShapley as written: the sampler's seeded Fisher–Yates (each
+   permutation reshuffles the previous one in place, from substream
+   [p]), then the first prefix at which φ holds credits its last fact.
+   A lineage true on ∅ or false on the whole universe has no pivot. *)
+let reference_shapley ~seed ~draws universe phi =
+  let u = Array.of_list universe in
+  let n = Array.length u in
+  let sums = Array.make n 0 in
+  let perm = Array.init n Fun.id in
+  let has_pivot =
+    (not (Bform.eval phi Fact.Set.empty))
+    && Bform.eval phi (Fact.Set.of_list universe)
+  in
+  for p = 0 to draws - 1 do
+    let rng = Sample.Rng.of_path seed [ p ] in
+    for i = n - 1 downto 1 do
+      let j = Sample.Rng.int rng (i + 1) in
+      let t = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- t
+    done;
+    if has_pivot then begin
+      let rec first k prefix =
+        let prefix = Fact.Set.add u.(perm.(k)) prefix in
+        if Bform.eval phi prefix then perm.(k) else first (k + 1) prefix
+      in
+      let pivot = first 0 Fact.Set.empty in
+      sums.(pivot) <- sums.(pivot) + 1
+    end
+  done;
+  Array.map (fun s -> Rational.of_ints s draws) sums
+
+(* 128 permutations, with an ε no run reaches *)
+let matches_reference ~seed universe phi =
+  let draws = 128 in
+  let cfg =
+    Sample.config ~seed ~epsilon:(Rational.of_ints 1 1_000_000)
+      ~max_draws:draws ()
+  in
+  let r = Sample.shapley cfg ~universe phi in
+  r.Sample.total_draws = (if universe = [] then 0 else draws)
+  && Array.for_all2
+       (fun (e : Sample.estimate) v -> Rational.equal e.Sample.value v)
+       r.Sample.estimates
+       (reference_shapley ~seed ~draws universe phi)
+
+(* 143 of the 144 instances are monotone, and 47 of those constant *)
+let test_reference_registry () =
+  let checked = ref 0 and constant = ref 0 in
+  List.iter
+    (fun (fam : Workload.Family.t) ->
+       for seed = 1 to 3 do
+         for size = 1 to 6 do
+           let c = Workload.generate ~family:fam.Workload.Family.name ~seed ~size in
+           let phi = Lineage.lineage c.Workload.query c.Workload.db in
+           let universe = Database.endo_list c.Workload.db in
+           if monotone phi then begin
+             incr checked;
+             if Bform.eval phi Fact.Set.empty
+             || not (Bform.eval phi (Fact.Set.of_list universe))
+             then incr constant;
+             Alcotest.(check bool)
+               (Printf.sprintf "%s --seed %d --size %d" fam.Workload.Family.name
+                  seed size)
+               true
+               (matches_reference ~seed universe phi)
+           end
+         done
+       done)
+    (Workload.families ());
+  Alcotest.(check bool) "every monotone instance checked" true (!checked >= 143);
+  Alcotest.(check bool) "constant lineages among them" true (!constant >= 47);
+  (* constant lineages take no pivot, and a fact the lineage never
+     mentions is never one *)
+  let f1 = fact "R" [ "1" ] and f2 = fact "R" [ "2" ] in
+  List.iter
+    (fun (name, phi) ->
+       Alcotest.(check bool) name true (matches_reference ~seed:5 [ f1; f2 ] phi))
+    [ ("⊤", Bform.True); ("⊥", Bform.False);
+      ("true on ∅", Bform.Or [ Bform.True; Bform.Fv f1 ]);
+      ("false on U", Bform.And [ Bform.False; Bform.Fv f1 ]);
+      ("null player", Bform.Fv f2) ]
+
+let prop_reference_random =
+  qcheck ~count:300 "threshold sweep = reference ApproShapley" Gen.seed_gen
+    (fun seed ->
+       let q, db = Gen.random_case seed in
+       let phi = Lineage.lineage q db in
+       (not (monotone phi))
+       || matches_reference ~seed (Database.endo_list db) phi)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation per draw                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per draw on a 120-fact q_RST grid, net of the run's fixed
+   cost: a 640-draw run minus a 64-draw one, over the 576 draws between
+   them (the rounds' width arithmetic included).  Before the sweeps went
+   closure-free and the generator unboxed, a Shapley draw took 3,908
+   words and a Banzhaf draw 12,587. *)
+let words_per_draw estimate =
+  let c = Workload.generate ~family:"bipartite" ~seed:1 ~size:12 in
+  let phi = Lineage.lineage c.Workload.query c.Workload.db in
+  let universe = Database.endo_list c.Workload.db in
+  let words max_draws =
+    let cfg =
+      Sample.config ~seed:1 ~epsilon:(Rational.of_ints 1 1_000_000)
+        ~max_draws ()
+    in
+    let before = Gc.minor_words () in
+    let r : Sample.report = estimate cfg ~universe phi in
+    let after = Gc.minor_words () in
+    Alcotest.(check int) "ran to the budget" max_draws r.Sample.total_draws;
+    after -. before
+  in
+  (words 640 -. words 64) /. 576.
+
+let test_words_per_draw () =
+  List.iter
+    (fun (name, estimate) ->
+       let w = words_per_draw estimate in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %.0f minor words per draw <= 512" name w)
+         true (w <= 512.))
+    [ ("shapley", fun cfg ~universe phi -> Sample.shapley cfg ~universe phi);
+      ("banzhaf", fun cfg ~universe phi -> Sample.banzhaf cfg ~universe phi) ]
+
+(* ------------------------------------------------------------------ *)
+(* A trace shows the run approach its target                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The 4-fact demo (T(3) exogenous): at the default ε the run takes 12
+   rounds of 64 permutations, each round's span carries the width it
+   reaches, and the gauge holds the last one. *)
+let test_round_widths () =
+  let r1 = fact "R" [ "1" ] and s12 = fact "S" [ "1"; "2" ]
+  and t2 = fact "T" [ "2" ] and s13 = fact "S" [ "1"; "3" ] in
+  let phi =
+    Bform.Or
+      [ Bform.And [ Bform.Fv r1; Bform.Fv s12; Bform.Fv t2 ];
+        Bform.And [ Bform.Fv r1; Bform.Fv s13 ] ]
+  in
+  let clock, _ = Telemetry.Clock.fake () in
+  let tel = Telemetry.create ~clock () in
+  let r = Sample.shapley ~tel Sample.default ~universe:[ r1; s12; t2; s13 ] phi in
+  let widths =
+    List.filter_map
+      (fun (e : Telemetry.event) ->
+         if e.Telemetry.ev_name = "sample.round" then
+           Some (int_of_string (List.assoc "hw_ppm" e.Telemetry.ev_attrs))
+         else None)
+      (Telemetry.events tel)
+  in
+  Alcotest.(check int) "12 rounds" 12 (List.length widths);
+  Alcotest.(check int) "768 draws" 768 r.Sample.total_draws;
+  let rec decreasing = function
+    | a :: (b :: _ as rest) -> b < a && decreasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "hw_ppm strictly decreases" true (decreasing widths);
+  let gauge =
+    match List.assoc "sample.max_hw_ppm" (Telemetry.metrics tel) with
+    | Telemetry.Gauge g -> Telemetry.Gauge.value g
+    | Telemetry.Counter _ -> Alcotest.fail "sample.max_hw_ppm is a gauge"
+  in
+  Alcotest.(check int) "the last round's width is the gauge"
+    (List.nth widths 11) gauge
+
 let suite =
   [
     Alcotest.test_case "isqrt: units and guard" `Quick test_isqrt;
@@ -340,4 +517,10 @@ let suite =
     Alcotest.test_case "stopping rule" `Quick test_stopping;
     Alcotest.test_case "stats surface" `Quick test_stats_surface;
     Alcotest.test_case "familywise half-width" `Quick test_familywise;
+    Alcotest.test_case "threshold sweep = reference on the registry" `Quick
+      test_reference_registry;
+    prop_reference_random;
+    Alcotest.test_case "minor words per draw" `Quick test_words_per_draw;
+    Alcotest.test_case "round spans carry their half-width" `Quick
+      test_round_widths;
   ]
